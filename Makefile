@@ -16,10 +16,10 @@ build:
 test:
 	$(GO) test ./...
 
-# The -race smoke list mirrors the CI race job.
+# The -race smoke list; the CI race job runs this target.
 race:
 	$(GO) test -race \
-		-run 'TestParallelSweepSmoke|TestSweepDeterministicAcrossWorkerCounts|TestFaultSweepDeterministicAcrossWorkerCounts|TestFaultRunDeterministic|TestPrepareWindowCrashResolvesInDoubt|TestProbeRetransmissionDeterministicAcrossWorkerCounts|TestReplicatedSweepDeterministicAcrossWorkerCounts|TestReplicatedRunDeterministic|TestCapacitySweepDeterministicAcrossWorkerCounts|TestOpenRunDeterministic|TestPartitionSweepDeterministicAcrossWorkerCounts|TestPartitionRunDeterministic|TestSharedFaultPlanNotMutated|TestCCSweepDeterministicAcrossWorkerCounts|TestScaleSweepDeterministicAcrossWorkerCounts|TestQueCCNoDeadlocksNoProbeTraffic|TestNoProbeStateOutsideDetection' \
+		-run 'TestParallelSweepSmoke|TestSweepsDeterministicAcrossWorkerCounts|TestRunGrid|TestFaultRunDeterministic|TestPrepareWindowCrashResolvesInDoubt|TestReplicatedRunDeterministic|TestCapacitySweepDeterministicAcrossWorkerCounts|TestOpenRunDeterministic|TestPartitionRunDeterministic|TestSharedFaultPlanNotMutated|TestCCSweepDeterministicAcrossWorkerCounts|TestScaleSweepDeterministicAcrossWorkerCounts|TestQueCCNoDeadlocksNoProbeTraffic|TestNoProbeStateOutsideDetection' \
 		./internal/experiment/ ./internal/testbed/
 
 vet:
@@ -40,9 +40,11 @@ benchdiff:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulateMB8$$|BenchmarkCapacitySweep$$' -benchmem -benchtime 3x -json . > bench_head.json
 	$(GO) run ./cmd/benchdiff -old $(BASELINE) -new bench_head.json
 
-# The chaos audits CI runs: randomized fault plans — unreplicated, R=2,
-# R=2 with scheduled network partitions (the split-brain audit), and one
-# audit per alternative concurrency-control paradigm (QueCC, OCC).
+# The chaos audits, run by the CI chaos job: randomized fault plans —
+# unreplicated, R=2, R=2 with scheduled network partitions (the split-brain
+# audit), one audit per alternative concurrency-control paradigm (QueCC,
+# OCC), a 16-site scale fleet, and the replica catch-up double-drain
+# regression run.
 chaos:
-	$(GO) test -run 'TestChaosAuditClean|TestAuditorCleanOnFaultyRun|TestReplicatedChaosAuditClean|TestReplicatedFaultsAuditClean|TestOpenChaosAuditClean|TestPartitionChaosAuditClean|TestPartitionReplicatedAuditClean|TestQueCCChaosAuditClean|TestOCCChaosAuditClean|TestScaleChaosAuditClean' -v \
+	$(GO) test -run 'TestChaosAuditClean|TestAuditorCleanOnFaultyRun|TestReplicatedChaosAuditClean|TestReplicatedFaultsAuditClean|TestOpenChaosAuditClean|TestPartitionChaosAuditClean|TestPartitionReplicatedAuditClean|TestQueCCChaosAuditClean|TestOCCChaosAuditClean|TestScaleChaosAuditClean|TestReplicaCatchUpDrainedOnce' -v \
 		./internal/experiment/ ./internal/testbed/

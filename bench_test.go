@@ -34,6 +34,22 @@ func benchOpts() experiment.SimOptions {
 	return experiment.SimOptions{Seed: 1, Warmup: 30_000, Duration: 630_000}
 }
 
+// paperSweep runs the workload once per point of the paper's n grid, on one
+// worker, and returns the single-run comparisons.
+func paperSweep(b *testing.B, mk func(int) workload.Workload) []*experiment.Comparison {
+	opts := benchOpts()
+	opts.Workers = 1
+	rcs, err := experiment.SweepReplicated(mk, experiment.PaperNs(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	comps := make([]*experiment.Comparison, len(rcs))
+	for i, rc := range rcs {
+		comps[i] = rc.First()
+	}
+	return comps
+}
+
 // meanModelError returns the mean signed relative error (percent) of
 // model vs simulation for a metric over nodes and sweep points.
 func meanModelError(comps []*experiment.Comparison, metric experiment.Metric) float64 {
@@ -78,11 +94,7 @@ func benchFigure(b *testing.B, mk func(int) workload.Workload, metric experiment
 	b.Helper()
 	var comps []*experiment.Comparison
 	for i := 0; i < b.N; i++ {
-		var err error
-		comps, err = experiment.Sweep(mk, experiment.PaperNs(), benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		comps = paperSweep(b, mk)
 	}
 	b.ReportMetric(meanModelError(comps, metric), "model-over-sim-pct")
 	b.ReportMetric(kneeDrop(comps, metric, node), "knee-drop-ratio")
@@ -128,11 +140,7 @@ func BenchmarkFigure10MB4DiskIORate(b *testing.B) {
 func BenchmarkTable3MB8(b *testing.B) {
 	var comps []*experiment.Comparison
 	for i := 0; i < b.N; i++ {
-		var err error
-		comps, err = experiment.Sweep(workload.MB8, experiment.PaperNs(), benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		comps = paperSweep(b, workload.MB8)
 	}
 	b.ReportMetric(meanModelError(comps, experiment.TxnThroughput), "model-over-sim-pct")
 	b.ReportMetric(kneeDrop(comps, experiment.TxnThroughput, 0), "knee-drop-ratio")
@@ -142,11 +150,7 @@ func BenchmarkTable3MB8(b *testing.B) {
 func BenchmarkTable4UB6(b *testing.B) {
 	var comps []*experiment.Comparison
 	for i := 0; i < b.N; i++ {
-		var err error
-		comps, err = experiment.Sweep(workload.UB6, experiment.PaperNs(), benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		comps = paperSweep(b, workload.UB6)
 	}
 	b.ReportMetric(meanModelError(comps, experiment.TxnThroughput), "model-over-sim-pct")
 	b.ReportMetric(kneeDrop(comps, experiment.TxnThroughput, 0), "knee-drop-ratio")
@@ -158,11 +162,8 @@ func BenchmarkTable5MB4PerType(b *testing.B) {
 	var tbl *experiment.Table
 	var comps []*experiment.Comparison
 	for i := 0; i < b.N; i++ {
+		comps = paperSweep(b, workload.MB4)
 		var err error
-		comps, err = experiment.Sweep(workload.MB4, experiment.PaperNs(), benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
 		tbl, err = experiment.Table5([]int{4}, benchOpts())
 		if err != nil {
 			b.Fatal(err)
@@ -211,11 +212,15 @@ func BenchmarkReplicatedSweep(b *testing.B) {
 	plan := testbed.FaultPlan{
 		Crashes: []testbed.SiteCrash{{Site: 1, AtMS: 60_000, DownForMS: 120_000}},
 	}
+	// One worker: the sweep's points run one after another, the same work
+	// the recorded baselines measured.
+	opts := benchOpts()
+	opts.Workers = 1
 	var pts []experiment.ReplicationPoint
 	for i := 0; i < b.N; i++ {
 		var err error
 		pts, err = experiment.ReplicationSweep(workload.MB4(8), []int{1, 2},
-			[]repl.ReadMode{repl.ReadOne, repl.ReadQuorum}, plan, benchOpts())
+			[]repl.ReadMode{repl.ReadOne, repl.ReadQuorum}, plan, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

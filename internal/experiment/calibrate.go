@@ -40,24 +40,22 @@ func Calibrate(mk func(int) workload.Workload, ns []int, opts SimOptions) (*Cali
 	if len(ns) == 0 {
 		return nil, fmt.Errorf("experiment: no transaction sizes to calibrate on")
 	}
-	// Measure once per n.
+	// Measure once per n, on the grid runner.
 	type point struct {
 		wl workload.Workload
 		x  [2]float64 // measured TR-XPUT per node, txn/s
 	}
-	var points []point
-	for _, n := range ns {
-		wl := mk(n)
-		c, err := Run(wl, opts)
-		if err != nil {
-			return nil, err
-		}
-		var pt point
-		pt.wl = wl
+	opts.Replications = 1
+	rcs, err := SweepReplicated(mk, ns, opts)
+	if err != nil {
+		return nil, err
+	}
+	points := make([]point, len(ns))
+	for i, rc := range rcs {
+		points[i].wl = mk(ns[i])
 		for node := 0; node < 2; node++ {
-			pt.x[node] = c.Measured.Nodes[node].TotalTxnThroughput
+			points[i].x[node] = rc.Reps[0].Nodes[node].TotalTxnThroughput
 		}
-		points = append(points, pt)
 	}
 
 	evals := 0

@@ -2,9 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"carat/internal/core"
 	"carat/internal/testbed"
@@ -71,24 +68,14 @@ func (cr *CapacityResult) Knee() CapacityPoint {
 // concurrent simulations); the workload's Open config supplies the class
 // mix and burst shape, and the sweep overrides its rate with each grid
 // point (clearing any ramp — a capacity point is a constant-rate run). The
-// (point, replication) grid fans out across a worker pool with fixed seeds
-// RepSeed(opts.Seed, point, rep) and fixed result slots, so the output is
-// bit-identical for any worker count.
+// (point, replication) grid runs on runGrid, bit-identical for any worker
+// count: replication 0 of every point runs with opts.Seed itself, and
+// replication r > 0 with RepSeed(opts.Seed, point, r).
 func CapacitySweep(mk func() workload.Workload, lambdas []float64, opts SimOptions) (*CapacityResult, error) {
 	if len(lambdas) == 0 {
 		return nil, fmt.Errorf("experiment: capacity sweep needs at least one rate")
 	}
-	reps := opts.Replications
-	if reps < 1 {
-		reps = 1
-	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if total := len(lambdas) * reps; workers > total {
-		workers = total
-	}
+	reps := max(opts.Replications, 1)
 
 	probe := mk()
 	cr := &CapacityResult{Workload: probe.Name, Points: make([]CapacityPoint, len(lambdas))}
@@ -111,64 +98,17 @@ func CapacitySweep(mk func() workload.Workload, lambdas []float64, opts SimOptio
 		}
 	}
 
-	results := make([][]testbed.Results, len(lambdas))
-	for i := range results {
-		results[i] = make([]testbed.Results, reps)
-	}
-
-	type job struct{ point, rep int }
-	jobs := make(chan job)
-	total := len(lambdas) * reps
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // guards done and firstErr, serializes Progress
-		done     int
-		failed   atomic.Bool
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if failed.Load() {
-					continue
-				}
-				wl := openAt(mk(), lambdas[j.point], modelMix, modelShares)
-				cfg := wl.TestbedConfig(RepSeed(opts.Seed, j.point, j.rep), opts.Warmup, opts.Duration)
-				sys, err := testbed.New(cfg)
-				if err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("experiment: λ=%v rep %d: %w", lambdas[j.point], j.rep, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				results[j.point][j.rep] = sys.Run()
-				mu.Lock()
-				done++
-				if opts.Progress != nil {
-					opts.Progress(done, total)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for point := range lambdas {
-		for rep := 0; rep < reps; rep++ {
-			jobs <- job{point: point, rep: rep}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	results, err := runGrid(len(lambdas)*reps, opts.Workers, opts.Progress, func(i int) (testbed.Results, error) {
+		point, rep := i/reps, i%reps
+		wl := openAt(mk(), lambdas[point], modelMix, modelShares)
+		return simulate(wl, RepSeed(opts.Seed, point, rep), opts, fmt.Sprintf("λ=%v rep %d", lambdas[point], rep))
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	for i, lambda := range lambdas {
-		cr.Points[i] = capacityPoint(lambda, results[i])
+		cr.Points[i] = capacityPoint(lambda, results[i*reps:(i+1)*reps])
 		if cr.Points[i].CommittedTPS > cr.PeakCommittedTPS {
 			cr.PeakCommittedTPS = cr.Points[i].CommittedTPS
 		}
@@ -221,9 +161,13 @@ func capacityPoint(lambda float64, reps []testbed.Results) CapacityPoint {
 			inSystem += n.OpenMeanInSystem
 			if res.Window > 0 {
 				shed += float64(n.ShedArrivals) / res.Window * 1000
-				for _, a := range n.Abandoned {
-					abandoned += float64(a) / res.Window * 1000
+				// Sum the causes as integers: a float sum in map order
+				// would differ in its last bits from call to call.
+				var a int64
+				for _, c := range n.Abandoned {
+					a += c
 				}
+				abandoned += float64(a) / res.Window * 1000
 			}
 			var c float64
 			for _, k := range n.Commits {

@@ -2,9 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"carat/internal/storage"
 	"carat/internal/testbed"
@@ -90,10 +87,10 @@ func ccSweepWorkload(prot testbed.CCProtocol, pat storage.Pattern, m int) worklo
 // CCSweep runs the concurrency-control comparison lab: every protocol in
 // protocols crossed with every contention level and every MPL multiplier
 // (the MB4 mix replicated m times per site), measuring throughput, abort
-// rate and the paradigm-specific abort/probe counters. The grid fans out
-// across a worker pool with a fixed seed RepSeed(opts.Seed, cell, 0) and a
-// fixed result slot per cell, so the output is bit-identical for any
-// worker count. Replications are not used: one deterministic run per cell.
+// rate and the paradigm-specific abort/probe counters. The grid runs on
+// runGrid, bit-identical for any worker count; every cell runs with
+// opts.Seed itself, so cells differ only in their configuration.
+// Replications are not used: one deterministic run per cell.
 func CCSweep(protocols []testbed.CCProtocol, contentions []CCContention, mpls []int, opts SimOptions) (*CCSweepResult, error) {
 	if len(protocols) == 0 || len(contentions) == 0 || len(mpls) == 0 {
 		return nil, fmt.Errorf("experiment: cc sweep needs protocols, contentions and MPLs")
@@ -112,61 +109,13 @@ func CCSweep(protocols []testbed.CCProtocol, contentions []CCContention, mpls []
 		}
 	}
 
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-
-	results := make([]testbed.Results, len(cells))
-	jobs := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // guards done and firstErr, serializes Progress
-		done     int
-		failed   atomic.Bool
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				if failed.Load() {
-					continue
-				}
-				cl := cells[idx]
-				wl := ccSweepWorkload(cl.prot, cl.cont.Pattern, cl.m)
-				cfg := wl.TestbedConfig(RepSeed(opts.Seed, idx, 0), opts.Warmup, opts.Duration)
-				sys, err := testbed.New(cfg)
-				if err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("experiment: %v/%s/x%d: %w", cl.prot, cl.cont.Name, cl.m, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				results[idx] = sys.Run()
-				mu.Lock()
-				done++
-				if opts.Progress != nil {
-					opts.Progress(done, len(cells))
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for idx := range cells {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	results, err := runGrid(len(cells), opts.Workers, opts.Progress, func(i int) (testbed.Results, error) {
+		cl := cells[i]
+		wl := ccSweepWorkload(cl.prot, cl.cont.Pattern, cl.m)
+		return simulate(wl, opts.Seed, opts, fmt.Sprintf("%v/%s/x%d", cl.prot, cl.cont.Name, cl.m))
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	out := &CCSweepResult{Protocols: protocols, MPLs: mpls}
@@ -182,14 +131,9 @@ func CCSweep(protocols []testbed.CCProtocol, contentions []CCContention, mpls []
 // ccSweepPoint aggregates one cell's run into the reported measurement.
 func ccSweepPoint(prot testbed.CCProtocol, cont string, m int, res testbed.Results) CCSweepPoint {
 	pt := CCSweepPoint{Protocol: prot.String(), Contention: cont, Users: 8 * m}
-	var subs, commits int64
-	var respWeighted float64
+	subs, commits, resp := commitTotals(res)
+	pt.MeanResponseMS = resp
 	for _, nr := range res.Nodes {
-		for _, k := range []testbed.TxnKind{testbed.LRO, testbed.LU, testbed.DRO, testbed.DU} {
-			subs += nr.Submissions[k]
-			commits += nr.Commits[k]
-			respWeighted += nr.MeanResponse[k] * float64(nr.Commits[k])
-		}
 		pt.Deadlocks += nr.LocalDeadlocks + nr.GlobalDeadlocks
 		pt.ProbesResent += nr.ProbesResent
 		pt.ValidationAborts += nr.ValidationAborts
@@ -200,9 +144,6 @@ func ccSweepPoint(prot testbed.CCProtocol, cont string, m int, res testbed.Resul
 	}
 	if subs > 0 {
 		pt.AbortRate = float64(subs-commits) / float64(subs)
-	}
-	if commits > 0 {
-		pt.MeanResponseMS = respWeighted / float64(commits)
 	}
 	return pt
 }

@@ -172,8 +172,16 @@ func drawResilience(r *rng.Rand, usersPerSite int) testbed.Resilience {
 // RunChaos executes the audit over the given workload. Fault and resilience
 // configuration on the workload itself is overridden per run; everything
 // else (topology, transaction mix, service demands) is kept. The whole
-// audit is deterministic in (workload, options).
+// audit is deterministic in (workload, options): the fault-free baseline
+// runs first, on the caller's goroutine, and the randomized runs then run on
+// runGrid with GOMAXPROCS workers, bit-identical for any worker count.
 func RunChaos(wl workload.Workload, opts ChaosOptions) (*ChaosReport, error) {
+	return runChaos(wl, opts, 0)
+}
+
+// runChaos is RunChaos with an explicit worker bound for the randomized
+// runs (0 means GOMAXPROCS).
+func runChaos(wl workload.Workload, opts ChaosOptions, workers int) (*ChaosReport, error) {
 	opts.defaults()
 
 	// Fault-free baseline for the goodput floor: the plain workload with
@@ -181,17 +189,17 @@ func RunChaos(wl workload.Workload, opts ChaosOptions) (*ChaosReport, error) {
 	base := wl
 	base.Faults = nil
 	base.Resilience = testbed.Resilience{}
-	bsys, err := testbed.New(base.TestbedConfig(opts.Seed, opts.Warmup, opts.Duration))
+	bres, err := simulate(base, opts.Seed, SimOptions{Warmup: opts.Warmup, Duration: opts.Duration}, "chaos baseline")
 	if err != nil {
-		return nil, fmt.Errorf("experiment: chaos baseline: %w", err)
+		return nil, err
 	}
-	report := &ChaosReport{BaselineTPS: goodput(bsys.Run())}
+	report := &ChaosReport{BaselineTPS: goodput(bres), Runs: make([]ChaosRun, opts.Runs)}
 
 	usersPerSite := len(wl.Users) / wl.NumNodes
 	if usersPerSite < 1 {
 		usersPerSite = 1
 	}
-	for run := 0; run < opts.Runs; run++ {
+	_, err = runGrid(opts.Runs, workers, opts.Progress, func(run int) (testbed.Results, error) {
 		r := rng.New(rng.SeedStream(opts.Seed, uint64(run)))
 		plan := drawPlan(r)
 		if opts.Partitions {
@@ -208,7 +216,7 @@ func RunChaos(wl workload.Workload, opts ChaosOptions) (*ChaosReport, error) {
 		cfg.Trace = aud.Record
 		sys, err := testbed.New(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiment: chaos run %d: %w", run, err)
+			return testbed.Results{}, fmt.Errorf("experiment: chaos run %d: %w", run, err)
 		}
 		measured := sys.Run()
 
@@ -219,10 +227,11 @@ func RunChaos(wl workload.Workload, opts ChaosOptions) (*ChaosReport, error) {
 				"goodput: %.2f txn/s under faults, below %.0f%% of the %.2f txn/s fault-free baseline",
 				cr.GoodputTPS, 100*opts.MinGoodputFrac, report.BaselineTPS))
 		}
-		report.Runs = append(report.Runs, cr)
-		if opts.Progress != nil {
-			opts.Progress(run+1, opts.Runs)
-		}
+		report.Runs[run] = cr
+		return measured, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return report, nil
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"carat/internal/repl"
 	"carat/internal/testbed"
 	"carat/internal/workload"
 )
@@ -103,46 +104,20 @@ func TestChaosDeterministic(t *testing.T) {
 	}
 }
 
-// TestProbeRetransmissionDeterministicAcrossWorkerCounts runs a replicated
-// sweep with probe loss, message faults and the full resilience stack
-// active, and pins that results are bit-identical for any worker count —
-// the retransmission timers and the backoff jitter stream must not leak
-// state across concurrent simulations.
-func TestProbeRetransmissionDeterministicAcrossWorkerCounts(t *testing.T) {
-	mk := func(n int) workload.Workload {
-		wl := workload.MB4(n)
-		wl.Faults = &testbed.FaultPlan{
-			MsgLossProb:       0.05,
-			ProbeLossProb:     0.5,
-			LockWaitTimeoutMS: 8_000,
-		}
-		wl.Resilience = testbed.Resilience{
-			Retry:        testbed.RetryPolicy{MaxAttempts: 5, BaseBackoffMS: 10, JitterFrac: 0.4},
-			Admission:    testbed.AdmissionPolicy{MaxMPL: 3},
-			ProbeRetryMS: 300,
-		}
-		return wl
+// TestReplicaCatchUpDrainedOnce is the regression test for the replica
+// catch-up double drain: with seed 26 a partition heal starts draining a
+// site's catch-up queue, the site crashes while an apply's log write holds,
+// and restart recovery drains the same queue. Each queued apply must be
+// popped exactly once: the run completes and the audit is clean.
+func TestReplicaCatchUpDrainedOnce(t *testing.T) {
+	wl := workload.MB4(8)
+	wl.Concurrency = testbed.CCQueCC
+	wl.Replication = repl.Policy{Factor: 2, Read: repl.ReadOne}
+	report, err := RunChaos(wl, ChaosOptions{Runs: 1, Seed: 26, Partitions: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(workers int) []*RepComparison {
-		out, err := SweepReplicated(mk, []int{8}, repOpts(4, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	serial, pooled := run(1), run(4)
-	if !reflect.DeepEqual(serial, pooled) {
-		t.Fatalf("results differ between 1 and 4 workers under probe retransmission")
-	}
-	var resent int64
-	for _, rc := range serial {
-		for _, rep := range rc.Reps {
-			for _, nd := range rep.Nodes {
-				resent += nd.ProbesResent
-			}
-		}
-	}
-	if resent == 0 {
-		t.Fatalf("ProbesResent = 0 across the sweep: retransmission never engaged")
+	if bad := report.Violations(); len(bad) != 0 {
+		t.Fatalf("seed-26 audit found %d violation(s):\n%s", len(bad), bad)
 	}
 }

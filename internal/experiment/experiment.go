@@ -11,8 +11,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"carat/internal/core"
 	"carat/internal/testbed"
 	"carat/internal/workload"
@@ -26,17 +24,17 @@ type SimOptions struct {
 
 	// Replications is the number of independent simulation runs per sweep
 	// point (0 or 1 means a single run). Replication 0 always runs with
-	// Seed itself — so a single run reproduces the historical serial
-	// behavior exactly — and replication r > 0 runs with the derived seed
-	// RepSeed(Seed, n, r). With more than one replication the figure and
-	// table builders report across-replication means with 95% Student-t
-	// confidence half-widths next to the model values.
+	// Seed itself — so a single run is reproducible on its own — and
+	// replication r > 0 runs with the derived seed RepSeed(Seed, n, r).
+	// With more than one replication the figure and table builders report
+	// across-replication means with 95% Student-t confidence half-widths
+	// next to the model values.
 	Replications int
-	// Workers bounds the number of concurrent simulations in replicated
-	// runs (0 means GOMAXPROCS). Results are independent of Workers: every
-	// (point, replication) pair has a fixed seed and a fixed output slot.
+	// Workers bounds the number of concurrent simulations in every sweep
+	// (0 means GOMAXPROCS). Results are independent of Workers: every grid
+	// cell has a fixed seed and a fixed output slot.
 	Workers int
-	// Progress, when non-nil, is called after each completed replication
+	// Progress, when non-nil, is called after each completed simulation
 	// run with the completed and total run counts. Calls are serialized but
 	// may come from worker goroutines.
 	Progress func(done, total int)
@@ -57,23 +55,15 @@ type Comparison struct {
 	Measured testbed.Results
 }
 
-// Run solves the model and runs the simulator for one workload.
+// Run solves the model and runs the simulator once for one workload, with
+// opts.Seed: a one-cell RunReplicated with Replications forced to 1.
 func Run(wl workload.Workload, opts SimOptions) (*Comparison, error) {
-	m, err := wl.Model()
+	opts.Replications = 1
+	rc, err := RunReplicated(wl, opts)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: building model: %w", err)
+		return nil, err
 	}
-	modelRes, err := core.Solve(m)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: solving model: %w", err)
-	}
-	cfg := wl.TestbedConfig(opts.Seed, opts.Warmup, opts.Duration)
-	sys, err := testbed.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: building testbed: %w", err)
-	}
-	meas := sys.Run()
-	return &Comparison{Workload: wl.Name, N: wl.RequestsPerTxn, Model: modelRes, Measured: meas}, nil
+	return rc.First(), nil
 }
 
 // Metric extracts one scalar from a comparison for a given node, returning
@@ -119,23 +109,6 @@ var TxnThroughput = Metric{
 	Get: func(c *Comparison, node int) (float64, float64) {
 		return c.Model.Sites[node].TotalTxnThroughput * 1000, c.Measured.Nodes[node].TotalTxnThroughput
 	},
-}
-
-// Sweep runs a workload constructor over the transaction sizes, producing
-// one comparison per point. The paper sweeps n over {4, 8, 12, 16, 20}.
-// Every point runs serially with opts.Seed (the historical single-run
-// behavior, pinned by golden tests); for independent replications with
-// derived per-replication seeds and parallel execution, use SweepReplicated.
-func Sweep(mk func(n int) workload.Workload, ns []int, opts SimOptions) ([]*Comparison, error) {
-	out := make([]*Comparison, 0, len(ns))
-	for _, n := range ns {
-		c, err := Run(mk(n), opts)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: n=%d: %w", n, err)
-		}
-		out = append(out, c)
-	}
-	return out, nil
 }
 
 // PaperNs is the transaction-size sweep used throughout the evaluation.

@@ -12,6 +12,20 @@ func quickOpts() SimOptions {
 	return SimOptions{Seed: 1, Warmup: 30_000, Duration: 600_000}
 }
 
+// sweep runs one simulation per point and returns the single-run views.
+func sweep(t testing.TB, mk func(int) workload.Workload, ns []int, opts SimOptions) []*Comparison {
+	t.Helper()
+	rcs, err := SweepReplicated(mk, ns, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps := make([]*Comparison, len(rcs))
+	for i, rc := range rcs {
+		comps[i] = rc.First()
+	}
+	return comps
+}
+
 func TestRunProducesBothSides(t *testing.T) {
 	c, err := Run(workload.MB4(8), quickOpts())
 	if err != nil {
@@ -39,10 +53,7 @@ func TestModelTracksSimulation(t *testing.T) {
 		t.Skip("long validation sweep")
 	}
 	opts := SimOptions{Seed: 1, Warmup: 60_000, Duration: 1_860_000}
-	comps, err := Sweep(workload.MB8, []int{4, 12, 20}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	comps := sweep(t, workload.MB8, []int{4, 12, 20}, opts)
 	for _, c := range comps {
 		for node := 0; node < 2; node++ {
 			mo, me := TxnThroughput.Get(c, node)
@@ -159,7 +170,7 @@ func TestSweepPropagatesErrors(t *testing.T) {
 		wl.Users = nil
 		return wl
 	}
-	if _, err := Sweep(bad, []int{4}, quickOpts()); err == nil {
+	if _, err := SweepReplicated(bad, []int{4}, quickOpts()); err == nil {
 		t.Fatal("expected error from invalid workload")
 	}
 }

@@ -33,21 +33,22 @@ type FailurePoint struct {
 // disables the random crash process at that point — with an otherwise-zero
 // plan, that point is the fault-free baseline the degraded points compare
 // against. The plan's timeouts, message faults and explicit crashes apply at
-// every point.
+// every point. Points run on runGrid with opts.Seed (common random numbers),
+// bit-identical for any opts.Workers.
 func FailureSweep(wl workload.Workload, mttfs []float64, plan testbed.FaultPlan, opts SimOptions) ([]FailurePoint, error) {
-	out := make([]FailurePoint, 0, len(mttfs))
-	for _, mttf := range mttfs {
+	results, err := runGrid(len(mttfs), opts.Workers, opts.Progress, func(i int) (testbed.Results, error) {
 		p := plan
-		p.CrashMTTFMS = mttf
+		p.CrashMTTFMS = mttfs[i]
 		wl := wl
 		wl.Faults = &p
-		cfg := wl.TestbedConfig(opts.Seed, opts.Warmup, opts.Duration)
-		sys, err := testbed.New(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: failure sweep mttf=%v: %w", mttf, err)
-		}
-		res := sys.Run()
-		fp := FailurePoint{MTTFMS: mttf, Results: res}
+		return simulate(wl, opts.Seed, opts, fmt.Sprintf("failure sweep mttf=%v", mttfs[i]))
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]FailurePoint, len(mttfs))
+	for i, res := range results {
+		fp := FailurePoint{MTTFMS: mttfs[i], Results: res}
 		for _, n := range res.Nodes {
 			fp.TxnPerSec += n.TotalTxnThroughput
 			fp.Availability += n.Availability / float64(len(res.Nodes))
@@ -57,7 +58,7 @@ func FailureSweep(wl workload.Workload, mttfs []float64, plan testbed.FaultPlan,
 			fp.InDoubtCommitted += n.InDoubtCommitted
 			fp.InDoubtAborted += n.InDoubtAborted
 		}
-		out = append(out, fp)
+		out[i] = fp
 	}
 	return out, nil
 }

@@ -76,25 +76,3 @@ func TestFailureSweepDeterministic(t *testing.T) {
 		t.Fatal("two identical failure sweeps diverge")
 	}
 }
-
-// TestFaultSweepDeterministicAcrossWorkerCounts extends the determinism-
-// under-concurrency guarantee to faulted workloads: a replicated sweep with
-// a FaultPlan attached must be bit-identical on 1 and 4 workers. This also
-// exercises the per-run plan copy — workers validating a shared plan
-// concurrently would race (and be caught by -race in CI).
-func TestFaultSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) []*RepComparison {
-		rcs, err := SweepReplicated(faultyMB4, []int{4, 8}, repOpts(3, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rcs
-	}
-	one := run(1)
-	four := run(4)
-	for i := range one {
-		if !reflect.DeepEqual(one[i].Reps, four[i].Reps) {
-			t.Fatalf("n=%d: faulted results differ between 1 and 4 workers", one[i].N)
-		}
-	}
-}

@@ -31,28 +31,15 @@ type Figure struct {
 	Series []Series
 }
 
-// figureSweep builds a two-series (model vs. simulation) figure for one
-// metric at one node. With opts.Replications > 1 the sweep runs on the
-// parallel replicated engine and the simulation series carries confidence
-// half-widths; otherwise it is the historical serial single-run path.
-func figureSweep(id, title string, mk func(int) workload.Workload, node int, metric Metric, ns []int, opts SimOptions) (*Figure, error) {
-	if opts.Replications > 1 {
-		rcs, err := SweepReplicated(mk, ns, opts)
-		if err != nil {
-			return nil, err
-		}
-		return figureFromReps(id, title, rcs, []int{node}, metric), nil
-	}
-	comps, err := Sweep(mk, ns, opts)
+// figureSweep builds a model-vs-simulation figure for one metric: one
+// model and one simulation series per node, over the sweep. With
+// opts.Replications > 1 the simulation series carries across-replication
+// means with 95% confidence half-widths; a single run plots the run itself.
+func figureSweep(id, title string, mk func(int) workload.Workload, nodes []int, metric Metric, ns []int, opts SimOptions) (*Figure, error) {
+	rcs, err := SweepReplicated(mk, ns, opts)
 	if err != nil {
 		return nil, err
 	}
-	return figureFromComparisons(id, title, comps, node, metric), nil
-}
-
-// figureFromReps lays replicated measurements (mean ± 95% CI) against the
-// model over the sweep, one model+simulation series pair per node.
-func figureFromReps(id, title string, rcs []*RepComparison, nodes []int, metric Metric) *Figure {
 	f := &Figure{
 		ID:     id,
 		Title:  title,
@@ -72,97 +59,49 @@ func figureFromReps(id, title string, rcs []*RepComparison, nodes []int, metric 
 			model.Y = append(model.Y, mo)
 			meas.X = append(meas.X, float64(rc.N))
 			meas.Y = append(meas.Y, est.Mean)
-			meas.CI = append(meas.CI, est.HalfWidth)
-		}
-		f.Series = append(f.Series, model, meas)
-	}
-	return f
-}
-
-func figureFromComparisons(id, title string, comps []*Comparison, node int, metric Metric) *Figure {
-	model := Series{Name: "Model"}
-	meas := Series{Name: "Simulation"}
-	for _, c := range comps {
-		mo, me := metric.Get(c, node)
-		model.X = append(model.X, float64(c.N))
-		model.Y = append(model.Y, mo)
-		meas.X = append(meas.X, float64(c.N))
-		meas.Y = append(meas.Y, me)
-	}
-	return &Figure{
-		ID:     id,
-		Title:  title,
-		XLabel: "transaction size n (requests/transaction)",
-		YLabel: metric.Name + " (" + metric.Unit + ")",
-		Series: []Series{model, meas},
-	}
-}
-
-// Figure5 is "LB8 Workload: Record Throughput (Node B)".
-func Figure5(ns []int, opts SimOptions) (*Figure, error) {
-	return figureSweep("Figure 5", "LB8 Workload: Record Throughput (Node B)",
-		workload.LB8, 1, RecordThroughput, ns, opts)
-}
-
-// Figure6 is "LB8 Workload: CPU Utilization (Node B)".
-func Figure6(ns []int, opts SimOptions) (*Figure, error) {
-	return figureSweep("Figure 6", "LB8 Workload: CPU Utilization (Node B)",
-		workload.LB8, 1, CPUUtilization, ns, opts)
-}
-
-// Figure7 is "LB8 Workload: Disk I/O Rate (Node B)".
-func Figure7(ns []int, opts SimOptions) (*Figure, error) {
-	return figureSweep("Figure 7", "LB8 Workload: Disk I/O Rate (Node B)",
-		workload.LB8, 1, DiskIORate, ns, opts)
-}
-
-// mb4Figure builds an MB4 figure with per-node model and simulation series.
-func mb4Figure(id, title string, metric Metric, ns []int, opts SimOptions) (*Figure, error) {
-	if opts.Replications > 1 {
-		rcs, err := SweepReplicated(workload.MB4, ns, opts)
-		if err != nil {
-			return nil, err
-		}
-		return figureFromReps(id, title, rcs, []int{0, 1}, metric), nil
-	}
-	comps, err := Sweep(workload.MB4, ns, opts)
-	if err != nil {
-		return nil, err
-	}
-	f := &Figure{
-		ID:     id,
-		Title:  title,
-		XLabel: "transaction size n (requests/transaction)",
-		YLabel: metric.Name + " (" + metric.Unit + ")",
-	}
-	for node := 0; node < 2; node++ {
-		model := Series{Name: fmt.Sprintf("Model (Node %c)", 'A'+node)}
-		meas := Series{Name: fmt.Sprintf("Simulation (Node %c)", 'A'+node)}
-		for _, c := range comps {
-			mo, me := metric.Get(c, node)
-			model.X = append(model.X, float64(c.N))
-			model.Y = append(model.Y, mo)
-			meas.X = append(meas.X, float64(c.N))
-			meas.Y = append(meas.Y, me)
+			if est.Reps > 1 {
+				meas.CI = append(meas.CI, est.HalfWidth)
+			}
 		}
 		f.Series = append(f.Series, model, meas)
 	}
 	return f, nil
 }
 
+// Figure5 is "LB8 Workload: Record Throughput (Node B)".
+func Figure5(ns []int, opts SimOptions) (*Figure, error) {
+	return figureSweep("Figure 5", "LB8 Workload: Record Throughput (Node B)",
+		workload.LB8, []int{1}, RecordThroughput, ns, opts)
+}
+
+// Figure6 is "LB8 Workload: CPU Utilization (Node B)".
+func Figure6(ns []int, opts SimOptions) (*Figure, error) {
+	return figureSweep("Figure 6", "LB8 Workload: CPU Utilization (Node B)",
+		workload.LB8, []int{1}, CPUUtilization, ns, opts)
+}
+
+// Figure7 is "LB8 Workload: Disk I/O Rate (Node B)".
+func Figure7(ns []int, opts SimOptions) (*Figure, error) {
+	return figureSweep("Figure 7", "LB8 Workload: Disk I/O Rate (Node B)",
+		workload.LB8, []int{1}, DiskIORate, ns, opts)
+}
+
 // Figure8 is "MB4 Workload: Record Throughput".
 func Figure8(ns []int, opts SimOptions) (*Figure, error) {
-	return mb4Figure("Figure 8", "MB4 Workload: Record Throughput", RecordThroughput, ns, opts)
+	return figureSweep("Figure 8", "MB4 Workload: Record Throughput",
+		workload.MB4, []int{0, 1}, RecordThroughput, ns, opts)
 }
 
 // Figure9 is "MB4 Workload: CPU Utilization".
 func Figure9(ns []int, opts SimOptions) (*Figure, error) {
-	return mb4Figure("Figure 9", "MB4 Workload: CPU Utilization", CPUUtilization, ns, opts)
+	return figureSweep("Figure 9", "MB4 Workload: CPU Utilization",
+		workload.MB4, []int{0, 1}, CPUUtilization, ns, opts)
 }
 
 // Figure10 is "MB4 Workload: Disk I/O Rate".
 func Figure10(ns []int, opts SimOptions) (*Figure, error) {
-	return mb4Figure("Figure 10", "MB4 Workload: Disk I/O Rate", DiskIORate, ns, opts)
+	return figureSweep("Figure 10", "MB4 Workload: Disk I/O Rate",
+		workload.MB4, []int{0, 1}, DiskIORate, ns, opts)
 }
 
 // FigureResponseTimes is an extension artifact beyond the paper's six
@@ -181,7 +120,7 @@ func FigureResponseTimes(ns []int, opts SimOptions) (*Figure, error) {
 		},
 	}
 	return figureSweep("Extension Figure R", "MB8 Workload: LU Response Time (Node A)",
-		workload.MB8, 0, metric, ns, opts)
+		workload.MB8, []int{0}, metric, ns, opts)
 }
 
 // ASCII renders the figure as an ASCII chart followed by the numeric

@@ -60,48 +60,48 @@ func partitionHalves(n int) [][]testbed.NodeID {
 // 0 runs the partition-free baseline for its factor (plan.Partitions
 // cleared), against which GoodputFrac is computed. The base plan should
 // carry finite LockWaitTimeoutMS and PrepareTimeoutMS so minority-side
-// transactions abort instead of wedging for the whole split.
+// transactions abort instead of wedging for the whole split. Points run on
+// runGrid with opts.Seed (common random numbers), bit-identical for any
+// opts.Workers.
 func PartitionSweep(wl workload.Workload, durations []float64, factors []int, plan testbed.FaultPlan, opts SimOptions) ([]PartitionPoint, error) {
 	onset := opts.Warmup + 0.25*(opts.Duration-opts.Warmup)
 	groups := partitionHalves(wl.NumNodes)
+	nd := len(durations)
+	results, err := runGrid(len(factors)*nd, opts.Workers, opts.Progress, func(i int) (testbed.Results, error) {
+		factor, dur := factors[i/nd], durations[i%nd]
+		wl := wl
+		p := plan
+		p.Partitions = nil
+		if dur > 0 {
+			p.Partitions = []testbed.PartitionSchedule{
+				{Groups: groups, AtMS: onset, HealAfterMS: dur},
+			}
+		}
+		wl.Faults = &p
+		wl.Replication = replicationPolicy(factor, repl.ReadOne)
+		return simulate(wl, opts.Seed, opts, fmt.Sprintf("partition sweep R=%d dur=%v", factor, dur))
+	})
+	if err != nil {
+		return nil, err
+	}
 	var out []PartitionPoint
-	for _, factor := range factors {
-		factorStart := len(out)
-		for _, dur := range durations {
-			wl := wl
-			p := plan
-			p.Partitions = nil
-			if dur > 0 {
-				p.Partitions = []testbed.PartitionSchedule{
-					{Groups: groups, AtMS: onset, HealAfterMS: dur},
-				}
+	for f, factor := range factors {
+		pts := make([]PartitionPoint, nd)
+		base := 0.0
+		for d, dur := range durations {
+			pts[d] = partitionPoint(dur, factor, results[f*nd+d])
+			if dur == 0 {
+				base = pts[d].TxnPerSec
 			}
-			wl.Faults = &p
-			if factor > 1 {
-				wl.Replication = repl.Policy{Factor: factor, Read: repl.ReadOne}
-			} else {
-				wl.Replication = repl.Policy{}
-			}
-			cfg := wl.TestbedConfig(opts.Seed, opts.Warmup, opts.Duration)
-			sys, err := testbed.New(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: partition sweep R=%d dur=%v: %w", factor, dur, err)
-			}
-			out = append(out, partitionPoint(dur, factor, sys.Run()))
 		}
 		// GoodputFrac against this factor's zero-duration baseline.
-		base := 0.0
-		for _, pt := range out[factorStart:] {
-			if pt.DurationMS == 0 {
-				base = pt.TxnPerSec
-			}
-		}
-		for i := factorStart; i < len(out); i++ {
-			out[i].GoodputFrac = 1
+		for d := range pts {
+			pts[d].GoodputFrac = 1
 			if base > 0 {
-				out[i].GoodputFrac = out[i].TxnPerSec / base
+				pts[d].GoodputFrac = pts[d].TxnPerSec / base
 			}
 		}
+		out = append(out, pts...)
 	}
 	return out, nil
 }
@@ -114,21 +114,13 @@ func partitionPoint(dur float64, factor int, res testbed.Results) PartitionPoint
 		Results:     res,
 		PartitionMS: res.PartitionMS,
 	}
-	var commits int64
-	var latencyWeighted float64
+	_, _, pt.MeanCommitLatencyMS = commitTotals(res)
 	for _, n := range res.Nodes {
 		pt.TxnPerSec += n.TotalTxnThroughput
 		pt.PartitionAborts += n.PartitionAborts
 		pt.PartitionShed += n.PartitionShed
 		pt.SuspectEvents += n.SuspectEvents
 		pt.FailoverReads += n.FailoverReads
-		for k, c := range n.Commits {
-			commits += c
-			latencyWeighted += n.MeanResponse[k] * float64(c)
-		}
-	}
-	if commits > 0 {
-		pt.MeanCommitLatencyMS = latencyWeighted / float64(commits)
 	}
 	return pt
 }

@@ -3,9 +3,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"carat/internal/core"
 	"carat/internal/rng"
@@ -20,8 +17,8 @@ import (
 // The scheme is fixed and documented so any replication can be reproduced
 // in isolation with the single-run CLI:
 //
-//	rep 0:  the base seed itself, at every point — byte-identical to the
-//	        historical serial Sweep/Run path (and its golden tests).
+//	rep 0:  the base seed itself, at every point — byte-identical to a
+//	        single run (Run, and its golden tests).
 //	rep r>0: rng.SeedStream(base, id) with stream id = n<<32 | r, so
 //	        every (point, replication) pair owns a provably distinct
 //	        substream label and streams are effectively uncorrelated.
@@ -64,25 +61,32 @@ type RepComparison struct {
 }
 
 // Comparison returns the single-run view of replication rep, for code (and
-// metrics) that consume the serial Comparison shape.
+// metrics) that consume the Comparison shape.
 func (rc *RepComparison) Comparison(rep int) *Comparison {
 	return &Comparison{Workload: rc.Workload, N: rc.N, Model: rc.Model, Measured: rc.Reps[rep]}
 }
 
-// First returns replication 0's view — byte-identical to what the serial
-// Run would have produced with the base seed.
+// First returns replication 0's view — byte-identical to what Run produces
+// with the base seed.
 func (rc *RepComparison) First() *Comparison { return rc.Comparison(0) }
 
 // Estimate extracts one metric at one node from every replication and
 // returns the model's value alongside the across-replication estimate.
 func (rc *RepComparison) Estimate(metric Metric, node int) (model float64, est Estimate) {
+	model, _ = metric.Get(rc.First(), node)
+	return model, rc.estimate(func(c *Comparison) float64 {
+		_, me := metric.Get(c, node)
+		return me
+	})
+}
+
+// estimate tallies one measured scalar across the replications.
+func (rc *RepComparison) estimate(get func(c *Comparison) float64) Estimate {
 	var t stats.Tally
 	for rep := range rc.Reps {
-		mo, me := metric.Get(rc.Comparison(rep), node)
-		model = mo
-		t.Add(me)
+		t.Add(get(rc.Comparison(rep)))
 	}
-	return model, Estimate{Mean: t.Mean(), HalfWidth: t.CI95(), Reps: int(t.N())}
+	return Estimate{Mean: t.Mean(), HalfWidth: t.CI95(), Reps: int(t.N())}
 }
 
 // RunReplicated is the replication-aware Run: it solves the model once and
@@ -96,24 +100,15 @@ func RunReplicated(wl workload.Workload, opts SimOptions) (*RepComparison, error
 	return out[0], nil
 }
 
-// SweepReplicated is the replication-aware Sweep: it fans the sweep's
-// (point, replication) grid across a GOMAXPROCS-bounded worker pool. Each
-// job builds its own workload, testbed.System and sim.Env, so nothing
-// mutable is shared between concurrent simulations; each runs with the
-// seed RepSeed(opts.Seed, n, rep). Results land in fixed (point,
-// replication) slots, so the output is bit-identical for any worker count.
+// SweepReplicated runs a workload constructor over the transaction sizes,
+// producing one comparison per point with opts.Replications independent
+// simulations each (the paper sweeps n over {4, 8, 12, 16, 20}). The
+// (point, replication) grid runs on runGrid: each cell builds its own
+// workload, testbed.System and sim.Env and runs with the seed
+// RepSeed(opts.Seed, n, rep), so the output is bit-identical for any worker
+// count.
 func SweepReplicated(mk func(n int) workload.Workload, ns []int, opts SimOptions) ([]*RepComparison, error) {
-	reps := opts.Replications
-	if reps < 1 {
-		reps = 1
-	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if total := len(ns) * reps; workers > total {
-		workers = total
-	}
+	reps := max(opts.Replications, 1)
 
 	// The model side is deterministic: solve each point once, serially.
 	out := make([]*RepComparison, len(ns))
@@ -140,58 +135,17 @@ func SweepReplicated(mk func(n int) workload.Workload, ns []int, opts SimOptions
 		out[i] = rc
 	}
 
-	type job struct{ point, rep int }
-	jobs := make(chan job)
-	total := len(ns) * reps
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // guards done and firstErr, serializes Progress
-		done     int
-		failed   atomic.Bool
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if failed.Load() {
-					continue
-				}
-				rc := out[j.point]
-				// A fresh workload per job: constructors build their own
-				// parameter maps, so concurrent simulations share nothing.
-				wl := mk(rc.N)
-				cfg := wl.TestbedConfig(rc.Seeds[j.rep], opts.Warmup, opts.Duration)
-				sys, err := testbed.New(cfg)
-				if err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("experiment: n=%d rep %d: %w", rc.N, j.rep, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				rc.Reps[j.rep] = sys.Run()
-				mu.Lock()
-				done++
-				if opts.Progress != nil {
-					opts.Progress(done, total)
-				}
-				mu.Unlock()
-			}
-		}()
+	results, err := runGrid(len(ns)*reps, opts.Workers, opts.Progress, func(i int) (testbed.Results, error) {
+		rc, rep := out[i/reps], i%reps
+		// A fresh workload per cell: constructors build their own parameter
+		// maps, so concurrent simulations share nothing.
+		return simulate(mk(rc.N), rc.Seeds[rep], opts, fmt.Sprintf("n=%d rep %d", rc.N, rep))
+	})
+	if err != nil {
+		return nil, err
 	}
-	for point := range out {
-		for rep := 0; rep < reps; rep++ {
-			jobs <- job{point: point, rep: rep}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for i, res := range results {
+		out[i/reps].Reps[i%reps] = res
 	}
 	return out, nil
 }

@@ -64,29 +64,6 @@ func TestReplicationZeroMatchesSerialRun(t *testing.T) {
 	}
 }
 
-// TestSweepDeterministicAcrossWorkerCounts is the determinism-under-
-// concurrency guarantee: the same (seed, workload) grid must produce
-// bit-identical results no matter how many workers run it.
-func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) []*RepComparison {
-		rcs, err := SweepReplicated(workload.MB4, []int{4, 8}, repOpts(3, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rcs
-	}
-	one := run(1)
-	four := run(4)
-	for i := range one {
-		if !reflect.DeepEqual(one[i].Seeds, four[i].Seeds) {
-			t.Fatalf("n=%d: seeds differ across worker counts", one[i].N)
-		}
-		if !reflect.DeepEqual(one[i].Reps, four[i].Reps) {
-			t.Fatalf("n=%d: results differ between 1 and 4 workers", one[i].N)
-		}
-	}
-}
-
 // TestParallelSweepSmoke is the short -race smoke named in the verify
 // recipe: a replicated sweep on several workers with basic sanity checks.
 func TestParallelSweepSmoke(t *testing.T) {

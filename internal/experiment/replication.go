@@ -48,55 +48,64 @@ type ReplicationPoint struct {
 // (read policy irrelevant, reported as "one") and are emitted once per
 // factor regardless of how many read modes are requested, so the baseline
 // appears exactly once. A nil or empty reads slice defaults to read-one.
+// Points run on runGrid with opts.Seed (common random numbers),
+// bit-identical for any opts.Workers.
 func ReplicationSweep(wl workload.Workload, factors []int, reads []repl.ReadMode, plan testbed.FaultPlan, opts SimOptions) ([]ReplicationPoint, error) {
 	if len(reads) == 0 {
 		reads = []repl.ReadMode{repl.ReadOne}
 	}
-	var out []ReplicationPoint
+	type cell struct {
+		factor int
+		mode   repl.ReadMode
+	}
+	var cells []cell
 	for _, factor := range factors {
 		modes := reads
 		if factor <= 1 {
 			modes = []repl.ReadMode{repl.ReadOne}
 		}
 		for _, mode := range modes {
-			wl := wl
-			p := plan
-			wl.Faults = &p
-			if factor > 1 {
-				wl.Replication = repl.Policy{Factor: factor, Read: mode}
-			} else {
-				wl.Replication = repl.Policy{}
-			}
-			cfg := wl.TestbedConfig(opts.Seed, opts.Warmup, opts.Duration)
-			sys, err := testbed.New(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: replication sweep R=%d read=%v: %w", factor, mode, err)
-			}
-			res := sys.Run()
-			out = append(out, replicationPoint(factor, mode, res))
+			cells = append(cells, cell{factor: factor, mode: mode})
 		}
 	}
+	results, err := runGrid(len(cells), opts.Workers, opts.Progress, func(i int) (testbed.Results, error) {
+		cl := cells[i]
+		wl := wl
+		p := plan
+		wl.Faults = &p
+		wl.Replication = replicationPolicy(cl.factor, cl.mode)
+		return simulate(wl, opts.Seed, opts, fmt.Sprintf("replication sweep R=%d read=%v", cl.factor, cl.mode))
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []ReplicationPoint
+	for i, cl := range cells {
+		out = append(out, replicationPoint(cl.factor, cl.mode, results[i]))
+	}
 	return out, nil
+}
+
+// replicationPolicy is the policy a sweep point runs under: factor copies
+// with the read mode, or no replication at all for factor 1.
+func replicationPolicy(factor int, mode repl.ReadMode) repl.Policy {
+	if factor > 1 {
+		return repl.Policy{Factor: factor, Read: mode}
+	}
+	return repl.Policy{}
 }
 
 // replicationPoint aggregates one run's measurements into a sweep point.
 func replicationPoint(factor int, mode repl.ReadMode, res testbed.Results) ReplicationPoint {
 	pt := ReplicationPoint{Factor: factor, ReadMode: mode.String(), Results: res}
-	var commits, degraded int64
-	var latencyWeighted float64
+	_, _, pt.MeanCommitLatencyMS = commitTotals(res)
+	var degraded int64
 	for _, n := range res.Nodes {
 		pt.TxnPerSec += n.TotalTxnThroughput
 		pt.FailoverReads += n.FailoverReads
 		pt.ReplicaApplies += n.ReplicaApplies
 		pt.QuorumReads += n.QuorumReads
 		degraded += n.DegradedCommits
-		for k, c := range n.Commits {
-			commits += c
-			latencyWeighted += n.MeanResponse[k] * float64(c)
-		}
-	}
-	if commits > 0 {
-		pt.MeanCommitLatencyMS = latencyWeighted / float64(commits)
 	}
 	pt.Availability = 1
 	if res.DegradedMS > 0 {

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"reflect"
 	"testing"
 
 	"carat/internal/disk"
@@ -146,27 +145,6 @@ func TestReplicationSweepFactorThree(t *testing.T) {
 	if pts[1].ReplicaApplies == 0 || pts[2].ReplicaApplies <= pts[1].ReplicaApplies {
 		t.Fatalf("replica applies must grow with the factor: R=2 %d, R=3 %d",
 			pts[1].ReplicaApplies, pts[2].ReplicaApplies)
-	}
-}
-
-// TestReplicatedSweepDeterministicAcrossWorkerCounts extends the
-// determinism-under-concurrency guarantee to replicated-granule workloads: a
-// parallel sweep with an R=2 quorum policy attached must be bit-identical on
-// 1 and 4 workers.
-func TestReplicatedSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) []*RepComparison {
-		rcs, err := SweepReplicated(replicatedMB4, []int{4, 8}, repOpts(3, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rcs
-	}
-	one := run(1)
-	four := run(4)
-	for i := range one {
-		if !reflect.DeepEqual(one[i].Reps, four[i].Reps) {
-			t.Fatalf("n=%d: replicated results differ between 1 and 4 workers", one[i].N)
-		}
 	}
 }
 

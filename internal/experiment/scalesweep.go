@@ -2,9 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"carat/internal/disk"
 	"carat/internal/placement"
@@ -59,6 +56,9 @@ type ScaleSweepResult struct {
 	Points []ScalePoint
 }
 
+// scaleMaxMPL is the per-site admission cap of every scale cell.
+const scaleMaxMPL = 12
+
 // ScaleWorkload builds one cell's N-site workload: a homogeneous RM05
 // fleet with striped database disks, dedicated log devices and a warm
 // buffer (so the per-site centers stay comfortably below saturation and
@@ -68,9 +68,6 @@ type ScaleSweepResult struct {
 // directory-driven placement with the given strategy and affinity, a
 // shared Ethernet fabric with one contending host per site, and open
 // Poisson arrivals at λ per site under a bounded MPL.
-// scaleMaxMPL is the per-site admission cap of every scale cell.
-const scaleMaxMPL = 12
-
 func ScaleWorkload(strategy placement.Strategy, sites int, locality, lambdaPerSite float64) workload.Workload {
 	dbs := make([]disk.ServiceModel, sites)
 	logs := make([]disk.ServiceModel, sites)
@@ -117,9 +114,8 @@ func ScaleWorkload(strategy placement.Strategy, sites int, locality, lambdaPerSi
 // locality level and every per-site arrival rate, under one placement
 // strategy, measuring throughput and the per-center utilizations that
 // locate the bottleneck as the fleet grows and locality drops. The grid
-// fans out across a worker pool with a fixed seed RepSeed(opts.Seed, cell,
-// 0) and a fixed result slot per cell, so the output is bit-identical for
-// any worker count.
+// runs on runGrid, bit-identical for any worker count; every cell runs with
+// opts.Seed itself, so cells differ only in their configuration.
 func ScaleSweep(strategy placement.Strategy, sites []int, localities, lambdas []float64, opts SimOptions) (*ScaleSweepResult, error) {
 	if len(sites) == 0 || len(localities) == 0 || len(lambdas) == 0 {
 		return nil, fmt.Errorf("experiment: scale sweep needs site counts, localities and arrival rates")
@@ -141,62 +137,13 @@ func ScaleSweep(strategy placement.Strategy, sites []int, localities, lambdas []
 		}
 	}
 
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-
-	results := make([]testbed.Results, len(cells))
-	jobs := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // guards done and firstErr, serializes Progress
-		done     int
-		failed   atomic.Bool
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				if failed.Load() {
-					continue
-				}
-				cl := cells[idx]
-				wl := ScaleWorkload(strategy, cl.sites, cl.locality, cl.lambda)
-				cfg := wl.TestbedConfig(RepSeed(opts.Seed, idx, 0), opts.Warmup, opts.Duration)
-				sys, err := testbed.New(cfg)
-				if err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("experiment: %v/%d sites/loc %.2f/λ %.2f: %w",
-							strategy, cl.sites, cl.locality, cl.lambda, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				results[idx] = sys.Run()
-				mu.Lock()
-				done++
-				if opts.Progress != nil {
-					opts.Progress(done, len(cells))
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for idx := range cells {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	results, err := runGrid(len(cells), opts.Workers, opts.Progress, func(i int) (testbed.Results, error) {
+		cl := cells[i]
+		wl := ScaleWorkload(strategy, cl.sites, cl.locality, cl.lambda)
+		return simulate(wl, opts.Seed, opts, fmt.Sprintf("%v/%d sites/loc %.2f/λ %.2f", strategy, cl.sites, cl.locality, cl.lambda))
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	out := &ScaleSweepResult{Strategy: strategy, Sites: sites, Localities: localities, Lambdas: lambdas}
@@ -209,14 +156,9 @@ func ScaleSweep(strategy placement.Strategy, sites []int, localities, lambdas []
 // scalePoint aggregates one cell's run into the reported measurement.
 func scalePoint(sites int, locality, lambda float64, res testbed.Results) ScalePoint {
 	pt := ScalePoint{Sites: sites, Locality: locality, LambdaPerSite: lambda}
-	var subs, commits int64
-	var respWeighted float64
+	subs, commits, resp := commitTotals(res)
+	pt.MeanResponseMS = resp
 	for _, nr := range res.Nodes {
-		for _, k := range []testbed.TxnKind{testbed.LRO, testbed.LU, testbed.DRO, testbed.DU} {
-			subs += nr.Submissions[k]
-			commits += nr.Commits[k]
-			respWeighted += nr.MeanResponse[k] * float64(nr.Commits[k])
-		}
 		if nr.CPUUtilization > pt.MaxCPUUtil {
 			pt.MaxCPUUtil = nr.CPUUtilization
 		}
@@ -237,9 +179,6 @@ func scalePoint(sites int, locality, lambda float64, res testbed.Results) ScaleP
 	// commits past subs; clamp instead of reporting a negative rate.
 	if subs > 0 && commits < subs {
 		pt.AbortRate = float64(subs-commits) / float64(subs)
-	}
-	if commits > 0 {
-		pt.MeanResponseMS = respWeighted / float64(commits)
 	}
 	pt.WireUtil = res.NetUtilization
 	pt.NetMeanInflationMS = res.NetMeanInflationMS

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"carat/internal/stats"
 	"carat/internal/workload"
 )
 
@@ -72,79 +71,52 @@ func (t *Table) Markdown() string {
 // comparisonTable builds the Table 3/4 layout: per (n, node) rows of
 // measured and modeled TR-XPUT, Total-CPU and Total-DIO. With
 // opts.Replications > 1 the measured columns are across-replication means
-// and each gains a 95% confidence half-width column.
+// and each gains a ± column (95% Student-t half-width).
 func comparisonTable(id, title string, mk func(int) workload.Workload, ns []int, opts SimOptions) (*Table, error) {
-	if opts.Replications > 1 {
-		return comparisonTableReplicated(id, title, mk, ns, opts)
-	}
-	comps, err := Sweep(mk, ns, opts)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:    id,
-		Title: title,
-		Header: []string{
-			"n", "Node",
-			"Sim TR-XPUT", "Sim Total-CPU", "Sim Total-DIO",
-			"Model TR-XPUT", "Model Total-CPU", "Model Total-DIO",
-		},
-	}
-	for _, c := range comps {
-		for node := 0; node < 2; node++ {
-			xm, xs := TxnThroughput.Get(c, node)
-			cm, cs := CPUUtilization.Get(c, node)
-			dm, ds := DiskIORate.Get(c, node)
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", c.N),
-				string(rune('A' + node)),
-				fmt.Sprintf("%.2f", xs),
-				fmt.Sprintf("%.2f", cs),
-				fmt.Sprintf("%.1f", ds),
-				fmt.Sprintf("%.2f", xm),
-				fmt.Sprintf("%.2f", cm),
-				fmt.Sprintf("%.1f", dm),
-			})
-		}
-	}
-	return t, nil
-}
-
-// comparisonTableReplicated is the replicated Table 3/4 layout: the sweep
-// runs on the parallel engine and every simulated column is reported as
-// mean plus a ± column (95% Student-t half-width over the replications).
-func comparisonTableReplicated(id, title string, mk func(int) workload.Workload, ns []int, opts SimOptions) (*Table, error) {
 	rcs, err := SweepReplicated(mk, ns, opts)
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		ID:    id,
-		Title: fmt.Sprintf("%s — %d replications, 95%% CI", title, len(rcs[0].Reps)),
-		Header: []string{
-			"n", "Node",
-			"Sim TR-XPUT", "±", "Sim Total-CPU", "±", "Sim Total-DIO", "±",
-			"Model TR-XPUT", "Model Total-CPU", "Model Total-DIO",
-		},
-	}
+	t := &Table{ID: id, Title: title, Header: []string{"n", "Node"}}
+	t.simColumns(max(opts.Replications, 1), "Sim TR-XPUT", "Sim Total-CPU", "Sim Total-DIO")
+	t.Header = append(t.Header, "Model TR-XPUT", "Model Total-CPU", "Model Total-DIO")
 	for _, rc := range rcs {
 		for node := 0; node < 2; node++ {
 			xm, xe := rc.Estimate(TxnThroughput, node)
 			cm, ce := rc.Estimate(CPUUtilization, node)
 			dm, de := rc.Estimate(DiskIORate, node)
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", rc.N),
-				string(rune('A' + node)),
-				fmt.Sprintf("%.2f", xe.Mean), fmt.Sprintf("%.2f", xe.HalfWidth),
-				fmt.Sprintf("%.2f", ce.Mean), fmt.Sprintf("%.3f", ce.HalfWidth),
-				fmt.Sprintf("%.1f", de.Mean), fmt.Sprintf("%.1f", de.HalfWidth),
-				fmt.Sprintf("%.2f", xm),
-				fmt.Sprintf("%.2f", cm),
-				fmt.Sprintf("%.1f", dm),
-			})
+			row := []string{fmt.Sprintf("%d", rc.N), string(rune('A' + node))}
+			row = append(row, xe.cells("%.2f", "%.2f")...)
+			row = append(row, ce.cells("%.2f", "%.3f")...)
+			row = append(row, de.cells("%.1f", "%.1f")...)
+			row = append(row, fmt.Sprintf("%.2f", xm), fmt.Sprintf("%.2f", cm), fmt.Sprintf("%.1f", dm))
+			t.Rows = append(t.Rows, row)
 		}
 	}
 	return t, nil
+}
+
+// simColumns appends the simulated columns' headers, each followed by a ±
+// column when reps > 1, and notes the replication count in the title.
+func (t *Table) simColumns(reps int, names ...string) {
+	if reps > 1 {
+		t.Title = fmt.Sprintf("%s — %d replications, 95%% CI", t.Title, reps)
+	}
+	for _, name := range names {
+		t.Header = append(t.Header, name)
+		if reps > 1 {
+			t.Header = append(t.Header, "±")
+		}
+	}
+}
+
+// cells formats the estimate as table cells: the mean, plus its half-width
+// when more than one replication ran.
+func (e Estimate) cells(meanFmt, halfFmt string) []string {
+	if e.Reps > 1 {
+		return []string{fmt.Sprintf(meanFmt, e.Mean), fmt.Sprintf(halfFmt, e.HalfWidth)}
+	}
+	return []string{fmt.Sprintf(meanFmt, e.Mean)}
 }
 
 // Table3 is "Model vs Measurement Results (MB8)".
@@ -161,70 +133,27 @@ func Table4(ns []int, opts SimOptions) (*Table, error) {
 // (MB4)": per-type commit throughput at each node. With
 // opts.Replications > 1 the simulated columns carry 95% CI half-widths.
 func Table5(ns []int, opts SimOptions) (*Table, error) {
-	if opts.Replications > 1 {
-		return table5Replicated(ns, opts)
-	}
-	comps, err := Sweep(workload.MB4, ns, opts)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:    "Table 5",
-		Title: "Model vs Measurement Throughput Results for Each TR Type (MB4)",
-		Header: []string{
-			"n", "Type",
-			"Sim Node A", "Sim Node B",
-			"Model Node A", "Model Node B",
-		},
-	}
-	for _, c := range comps {
-		for _, ty := range []string{"LRO", "LU", "DRO", "DU"} {
-			sa := measuredPerType(c, 0)[ty]
-			sb := measuredPerType(c, 1)[ty]
-			ma := modelPerType(c, 0)[ty]
-			mb := modelPerType(c, 1)[ty]
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", c.N), ty,
-				fmt.Sprintf("%.2f", sa), fmt.Sprintf("%.2f", sb),
-				fmt.Sprintf("%.2f", ma), fmt.Sprintf("%.2f", mb),
-			})
-		}
-	}
-	return t, nil
-}
-
-// table5Replicated is the replicated Table 5: per-type throughput means
-// with ± columns over the replications.
-func table5Replicated(ns []int, opts SimOptions) (*Table, error) {
 	rcs, err := SweepReplicated(workload.MB4, ns, opts)
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
-		ID:    "Table 5",
-		Title: fmt.Sprintf("Model vs Measurement Throughput Results for Each TR Type (MB4) — %d replications, 95%% CI", len(rcs[0].Reps)),
-		Header: []string{
-			"n", "Type",
-			"Sim Node A", "±", "Sim Node B", "±",
-			"Model Node A", "Model Node B",
-		},
+		ID:     "Table 5",
+		Title:  "Model vs Measurement Throughput Results for Each TR Type (MB4)",
+		Header: []string{"n", "Type"},
 	}
+	t.simColumns(max(opts.Replications, 1), "Sim Node A", "Sim Node B")
+	t.Header = append(t.Header, "Model Node A", "Model Node B")
 	for _, rc := range rcs {
 		for _, ty := range []string{"LRO", "LU", "DRO", "DU"} {
-			var ta, tb stats.Tally
-			for rep := range rc.Reps {
-				c := rc.Comparison(rep)
-				ta.Add(measuredPerType(c, 0)[ty])
-				tb.Add(measuredPerType(c, 1)[ty])
+			row := []string{fmt.Sprintf("%d", rc.N), ty}
+			for node := 0; node < 2; node++ {
+				e := rc.estimate(func(c *Comparison) float64 { return measuredPerType(c, node)[ty] })
+				row = append(row, e.cells("%.2f", "%.2f")...)
 			}
 			ma := modelPerType(rc.First(), 0)[ty]
 			mb := modelPerType(rc.First(), 1)[ty]
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", rc.N), ty,
-				fmt.Sprintf("%.2f", ta.Mean()), fmt.Sprintf("%.2f", ta.CI95()),
-				fmt.Sprintf("%.2f", tb.Mean()), fmt.Sprintf("%.2f", tb.CI95()),
-				fmt.Sprintf("%.2f", ma), fmt.Sprintf("%.2f", mb),
-			})
+			t.Rows = append(t.Rows, append(row, fmt.Sprintf("%.2f", ma), fmt.Sprintf("%.2f", mb)))
 		}
 	}
 	return t, nil

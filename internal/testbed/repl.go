@@ -28,6 +28,10 @@ type replState struct {
 	// pending queues catch-up applies per down site; the site's restart
 	// recovery drains them (charging the log writes) before it rejoins.
 	pending map[NodeID][]pendingApply
+	// drainer is the process currently draining each site's queue. A heal
+	// drain and restart recovery can both reach the same queue; only the
+	// latest claimant pops, so every queued apply is popped exactly once.
+	drainer map[NodeID]*sim.Proc
 }
 
 // initRepl installs an active replication policy. Called from New after the
@@ -38,6 +42,7 @@ func (s *System) initRepl() {
 		policy:  pol,
 		place:   repl.NewPlacement(len(s.nodes), s.cfg.Layout.Granules, pol.Factor, s.rnd.Split(replStreamSalt)),
 		pending: make(map[NodeID][]pendingApply),
+		drainer: make(map[NodeID]*sim.Proc),
 	}
 }
 
@@ -118,14 +123,10 @@ func (s *System) recoverReplicas(p *sim.Proc, nd *node) {
 // lost its volatile state, only its connectivity.
 func (s *System) drainReplicaApplies(p *sim.Proc, nd *node) {
 	// Restart recovery drains while the site is still marked down (markUp
-	// follows recovery); only a crash that lands mid-drain aborts the loop.
+	// follows recovery); a heal drain starts with the site up.
 	downAtStart := nd.down
+	s.repl.drainer[nd.id] = p
 	for len(s.repl.pending[nd.id]) > 0 {
-		if nd.down && !downAtStart {
-			// The site crashed mid-drain: leave the rest of the queue for
-			// restart recovery's own drain.
-			return
-		}
 		// Peek, apply, then pop: the entry stays visible in the queue while
 		// its log write holds, so a committer propagating during the drain
 		// sees a non-empty queue and parks its apply behind it instead of
@@ -133,6 +134,12 @@ func (s *System) drainReplicaApplies(p *sim.Proc, nd *node) {
 		a := s.repl.pending[nd.id][0]
 		nd.journal.LogReplicaApply(a.gid, a.block)
 		mustUse(nd, p, func() error { return nd.logDisk.Do(p, disk.LogWrite, 0) })
+		if (nd.down && !downAtStart) || s.repl.drainer[nd.id] != p {
+			// The site crashed while the log write held, or restart
+			// recovery has already claimed the queue: leave the entry and
+			// the rest of the queue to restart recovery's own drain.
+			return
+		}
 		nd.replVersion[a.block] = a.gid
 		nd.replicaApplies.Inc()
 		s.repl.pending[nd.id] = s.repl.pending[nd.id][1:]
