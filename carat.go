@@ -22,6 +22,7 @@ package carat
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -509,8 +510,19 @@ func (w Workload) WithFaults(f FaultPlan) Workload {
 	return w
 }
 
-// ParseFaultPlan parses the comma-separated key=value fault syntax shared
-// by the command-line tools (caratsim -faults, carattrace -faults):
+// parseFloat is the number parser of the command-line syntaxes below:
+// strconv.ParseFloat that also rejects NaN and ±Inf, which no rate, time,
+// probability or factor in them can meaningfully be.
+func parseFloat(s string) (float64, error) {
+	x, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) {
+		err = fmt.Errorf("%v is not a finite number", x)
+	}
+	return x, err
+}
+
+// ParseFaultPlan parses the comma-separated key=value fault syntax of the
+// command-line tools (caratsim -faults):
 //
 //	crash=SITE@AT+DOWN  crash site SITE at AT ms for DOWN ms (repeatable)
 //	mttf=MS             random crashes: mean time to failure per site
@@ -550,10 +562,10 @@ func ParseFaultPlan(s string) (FaultPlan, error) {
 			if sc.Site, err = strconv.Atoi(site); err != nil {
 				return f, fmt.Errorf("faults: crash site %q: %w", site, err)
 			}
-			if sc.AtMS, err = strconv.ParseFloat(at, 64); err != nil {
+			if sc.AtMS, err = parseFloat(at); err != nil {
 				return f, fmt.Errorf("faults: crash time %q: %w", at, err)
 			}
-			if sc.DownForMS, err = strconv.ParseFloat(down, 64); err != nil {
+			if sc.DownForMS, err = parseFloat(down); err != nil {
 				return f, fmt.Errorf("faults: crash duration %q: %w", down, err)
 			}
 			f.Crashes = append(f.Crashes, sc)
@@ -567,7 +579,7 @@ func ParseFaultPlan(s string) (FaultPlan, error) {
 			f.Seed = n
 			continue
 		}
-		x, err := strconv.ParseFloat(val, 64)
+		x, err := parseFloat(val)
 		if err != nil {
 			return f, fmt.Errorf("faults: %s value %q: %w", key, val, err)
 		}
@@ -622,7 +634,7 @@ func ParsePartitions(s string, f *FaultPlan) error {
 			continue
 		}
 		if key, val, ok := strings.Cut(part, "="); ok && !strings.Contains(key, "@") {
-			x, err := strconv.ParseFloat(val, 64)
+			x, err := parseFloat(val)
 			if err != nil {
 				return fmt.Errorf("partition: %s value %q: %w", key, val, err)
 			}
@@ -652,10 +664,10 @@ func ParsePartitions(s string, f *FaultPlan) error {
 		}
 		var ps PartitionSchedule
 		var err error
-		if ps.AtMS, err = strconv.ParseFloat(at, 64); err != nil {
+		if ps.AtMS, err = parseFloat(at); err != nil {
 			return fmt.Errorf("partition: time %q: %w", at, err)
 		}
-		if ps.HealAfterMS, err = strconv.ParseFloat(heal, 64); err != nil {
+		if ps.HealAfterMS, err = parseFloat(heal); err != nil {
 			return fmt.Errorf("partition: heal %q: %w", heal, err)
 		}
 		for _, grp := range strings.Split(groupsPart, "|") {
@@ -715,19 +727,19 @@ func ParseGraySites(s string, f *FaultPlan) error {
 		if g.Site, err = strconv.Atoi(strings.TrimSpace(sitePart)); err != nil {
 			return fmt.Errorf("graysites: site %q: %w", sitePart, err)
 		}
-		if g.AtMS, err = strconv.ParseFloat(at, 64); err != nil {
+		if g.AtMS, err = parseFloat(at); err != nil {
 			return fmt.Errorf("graysites: time %q: %w", at, err)
 		}
-		if g.ForMS, err = strconv.ParseFloat(dur, 64); err != nil {
+		if g.ForMS, err = parseFloat(dur); err != nil {
 			return fmt.Errorf("graysites: duration %q: %w", dur, err)
 		}
 		cpu, dsk, split := strings.Cut(factors, "/")
-		if g.CPUFactor, err = strconv.ParseFloat(cpu, 64); err != nil {
+		if g.CPUFactor, err = parseFloat(cpu); err != nil {
 			return fmt.Errorf("graysites: factor %q: %w", cpu, err)
 		}
 		g.DiskFactor = g.CPUFactor
 		if split {
-			if g.DiskFactor, err = strconv.ParseFloat(dsk, 64); err != nil {
+			if g.DiskFactor, err = parseFloat(dsk); err != nil {
 				return fmt.Errorf("graysites: disk factor %q: %w", dsk, err)
 			}
 		}
@@ -852,7 +864,7 @@ func ParseResilience(s string) (Resilience, error) {
 			}
 			r.Admission.Shed = b
 		default:
-			x, err := strconv.ParseFloat(val, 64)
+			x, err := parseFloat(val)
 			if err != nil {
 				return r, fmt.Errorf("resilience: %s value %q: %w", key, val, err)
 			}
@@ -1144,7 +1156,7 @@ func ParseOpenClasses(s string) ([]OpenClass, error) {
 			case "pattern":
 				pattern = val
 			default:
-				x, err := strconv.ParseFloat(val, 64)
+				x, err := parseFloat(val)
 				if err != nil {
 					return nil, fmt.Errorf("classes: %s value %q: %w", key, val, err)
 				}
@@ -1808,11 +1820,11 @@ func NewScaleConfig(sites int, strategy PlacementStrategy, locality, lambdaPerSi
 	if err != nil {
 		return Workload{}, err
 	}
-	if locality < 0 || locality > 1 {
+	if !(locality >= 0 && locality <= 1) {
 		return Workload{}, fmt.Errorf("carat: locality must be in [0, 1], got %v", locality)
 	}
-	if lambdaPerSite <= 0 {
-		return Workload{}, fmt.Errorf("carat: per-site arrival rate must be positive, got %v", lambdaPerSite)
+	if !(lambdaPerSite > 0) || math.IsInf(lambdaPerSite, 1) {
+		return Workload{}, fmt.Errorf("carat: per-site arrival rate must be positive and finite, got %v", lambdaPerSite)
 	}
 	return Workload{experiment.ScaleWorkload(s, sites, locality, lambdaPerSite)}, nil
 }

@@ -15,51 +15,22 @@ import (
 	"os"
 
 	"carat"
+	"carat/cmd/internal/shapeflag"
 )
 
 func main() {
+	shape := shapeflag.Register(flag.CommandLine)
 	var (
-		name      = flag.String("workload", "MB4", "workload: LB8, MB4, MB8 or UB6")
-		n         = flag.Int("n", 8, "transaction size (requests per transaction)")
-		sweep     = flag.Bool("sweep", false, "sweep n over the paper's grid 4,8,12,16,20")
-		logdisk   = flag.Bool("logdisk", false, "give each node a separate log disk")
-		buffer    = flag.Float64("buffer", 0, "database buffer hit ratio in [0,1)")
-		think     = flag.Float64("think", 0, "user think time in ms")
-		dbsize    = flag.Int("dbsize", 0, "database size in blocks per site (0 = paper's 3000)")
-		stripes   = flag.Int("stripes", 1, "database disk stripes per site")
-		cpus      = flag.Int("cpus", 1, "processors per node")
 		breakdown = flag.Bool("breakdown", false, "print each type's per-cycle demand decomposition")
 		asJSON    = flag.Bool("json", false, "emit predictions as JSON")
 	)
 	flag.Parse()
 
-	ns := []int{*n}
-	if *sweep {
-		ns = []int{4, 8, 12, 16, 20}
-	}
-	for _, size := range ns {
-		wl, err := carat.WorkloadByName(*name, size)
+	for _, size := range shape.Sizes() {
+		wl, err := shape.Workload(size)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
-		}
-		if *logdisk {
-			wl = wl.WithSeparateLogDisks()
-		}
-		if *buffer > 0 {
-			wl = wl.WithBufferHitRatio(*buffer)
-		}
-		if *think > 0 {
-			wl = wl.WithThinkTime(*think)
-		}
-		if *dbsize > 0 {
-			wl = wl.WithDatabaseSize(*dbsize)
-		}
-		if *stripes > 1 {
-			wl = wl.WithStripedDatabase(*stripes)
-		}
-		if *cpus > 1 {
-			wl = wl.WithCPUs(*cpus)
 		}
 		pred, err := carat.SolveModel(wl)
 		if err != nil {

@@ -1,6 +1,7 @@
 package carat
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -279,5 +280,39 @@ func TestCompareConcurrencyControlsFacade(t *testing.T) {
 	}
 	if _, err := CompareConcurrencyControls(nil, nil, SimOptions{}); err == nil {
 		t.Fatal("empty MPL list accepted")
+	}
+}
+
+// TestFacadeRejectsNonFinite pins that the command-line parsers and the
+// scale-config and open-arrival front doors refuse NaN and ±Inf instead of
+// accepting a value that silently disables a feature or spins the
+// simulator forever.
+func TestFacadeRejectsNonFinite(t *testing.T) {
+	var fp FaultPlan
+	parsers := map[string]error{}
+	_, parsers["faults loss=NaN"] = ParseFaultPlan("loss=NaN")
+	_, parsers["faults crash time Inf"] = ParseFaultPlan("crash=1@Inf+5000")
+	_, parsers["faults crash duration NaN"] = ParseFaultPlan("crash=1@0+NaN")
+	parsers["partition mtbf=NaN"] = ParsePartitions("mtbf=NaN", &fp)
+	parsers["partition heal Inf"] = ParsePartitions("0|1@1000+Inf", &fp)
+	parsers["graysites factor NaN"] = ParseGraySites("1@0+1000*NaN", &fp)
+	parsers["graysites disk factor Inf"] = ParseGraySites("1@0+1000*2/Inf", &fp)
+	_, parsers["resilience jitter=NaN"] = ParseResilience("jitter=NaN")
+	_, parsers["classes weight=Inf"] = ParseOpenClasses("kind=LU,weight=Inf")
+	_, parsers["scale locality NaN"] = NewScaleConfig(16, HashPlacement, math.NaN(), 1)
+	_, parsers["scale lambda NaN"] = NewScaleConfig(16, HashPlacement, 0.5, math.NaN())
+	_, parsers["scale lambda Inf"] = NewScaleConfig(16, HashPlacement, 0.5, math.Inf(1))
+	opts := SimOptions{Seed: 1, WarmupMS: 1_000, DurationMS: 10_000}
+	open := WorkloadMB4(8).WithoutClosedUsers()
+	_, parsers["open lambda NaN"] = Simulate(open.WithOpenArrivals(OpenArrivals{LambdaPerSec: math.NaN()}), opts)
+	_, parsers["open lambda Inf"] = Simulate(open.WithOpenArrivals(OpenArrivals{LambdaPerSec: math.Inf(1)}), opts)
+	_, parsers["capacity lambda NaN"] = CapacitySweep(WorkloadMB4(8), []float64{math.NaN()}, opts)
+	for name, err := range parsers {
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if len(fp.Partitions)+len(fp.GraySites) != 0 || fp.PartitionMTBFMS != 0 {
+		t.Errorf("rejected entries reached the plan: %+v", fp)
 	}
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 
@@ -104,24 +103,24 @@ func TestOpenAdmissionNoCollapse(t *testing.T) {
 	}
 }
 
+// capacitySweepAt runs the capacity sweep's determinism grid on workers.
+func capacitySweepAt(t *testing.T, workers int) any {
+	cr, err := CapacitySweep(capacityWorkload, []float64{0.8, 1.6}, SimOptions{
+		Seed: 7, Warmup: 5_000, Duration: 65_000, Replications: 2, Workers: workers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cr
+}
+
 // TestCapacitySweepDeterministicAcrossWorkerCounts mirrors the replicated
 // sweep's determinism guarantee: the capacity sweep's (seed, grid) fully
-// determines its output regardless of worker count.
+// determines its output, also on worker counts that do not divide the
+// grid evenly (its row in TestSweepsDeterministicAcrossWorkerCounts
+// covers 4 workers).
 func TestCapacitySweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) *CapacityResult {
-		cr, err := CapacitySweep(capacityWorkload, []float64{0.8, 1.6}, SimOptions{
-			Seed: 7, Warmup: 5_000, Duration: 65_000, Replications: 2, Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cr
-	}
-	one := run(1)
-	four := run(4)
-	if !reflect.DeepEqual(one, four) {
-		t.Fatalf("capacity sweep differs between 1 and 4 workers:\n%+v\nvs\n%+v", one, four)
-	}
+	requireSameAcrossWorkers(t, []int{1, 3, 8}, capacitySweepAt)
 }
 
 // TestCapacitySweepNeedsRates pins the argument contract.

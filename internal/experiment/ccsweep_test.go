@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"reflect"
 	"testing"
 
 	"carat/internal/testbed"
@@ -71,27 +70,19 @@ func TestCCSweepSmoke(t *testing.T) {
 	}
 }
 
-func TestCCSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	opts := ccSweepOpts()
-	opts.Duration = 120_000
-	protocols := DefaultCCProtocols()
-	contentions := DefaultCCContentions()[:2]
-	var ref *CCSweepResult
-	for _, workers := range []int{1, 3, 8} {
-		o := opts
-		o.Workers = workers
-		res, err := CCSweep(protocols, contentions, []int{1, 2}, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if !reflect.DeepEqual(ref.Points, res.Points) {
-			t.Fatalf("cc sweep differs between 1 and %d workers", workers)
-		}
+// ccSweepAt runs the CC sweep's determinism grid on workers.
+func ccSweepAt(t *testing.T, workers int) any {
+	o := ccSweepOpts()
+	o.Duration, o.Workers = 120_000, workers
+	res, err := CCSweep(DefaultCCProtocols(), DefaultCCContentions()[:2], []int{1, 2}, o)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res
+}
+
+func TestCCSweepDeterministicAcrossWorkerCounts(t *testing.T) {
+	requireSameAcrossWorkers(t, []int{1, 3, 8}, ccSweepAt)
 }
 
 func TestCCSweepRejectsEmptyGrid(t *testing.T) {

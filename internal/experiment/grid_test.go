@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"carat/internal/placement"
 	"carat/internal/repl"
 	"carat/internal/testbed"
 	"carat/internal/workload"
@@ -31,9 +30,23 @@ func probeLossMB4(n int) workload.Workload {
 	return wl
 }
 
+// requireSameAcrossWorkers runs one sweep at each worker count and fails
+// unless every result is bit-identical to the first; it returns the first.
+func requireSameAcrossWorkers(t *testing.T, workers []int, run func(t *testing.T, workers int) any) any {
+	t.Helper()
+	one := run(t, workers[0])
+	for _, w := range workers[1:] {
+		if other := run(t, w); !reflect.DeepEqual(one, other) {
+			t.Fatalf("results differ between %d and %d workers:\n%+v\nvs\n%+v", workers[0], w, one, other)
+		}
+	}
+	return one
+}
+
 // TestSweepsDeterministicAcrossWorkerCounts is the determinism-under-
 // concurrency guarantee for every sweep: the same (seed, grid) gives
-// bit-identical output on 1 and 4 workers. The SweepReplicated rows also
+// bit-identical output on 1 and 4 workers. The capacity, CC and scale
+// sweeps' own tests add 3 and 8 workers. The SweepReplicated rows also
 // cover the workload configurations with their own per-run state — faults
 // (every replication's config holds the same *FaultPlan, so validating it
 // concurrently would race under -race), scheduled partitions, R=2 quorum
@@ -47,11 +60,6 @@ func TestSweepsDeterministicAcrossWorkerCounts(t *testing.T) {
 			}
 			return rcs
 		}
-	}
-	short := func(workers int) SimOptions {
-		o := repOpts(1, workers)
-		o.Warmup, o.Duration = 5_000, 60_000
-		return o
 	}
 	faults := testbed.FaultPlan{CrashMTTRMS: 2_000, PrepareTimeoutMS: 4_000, LockWaitTimeoutMS: 8_000}
 	rows := []struct {
@@ -80,29 +88,9 @@ func TestSweepsDeterministicAcrossWorkerCounts(t *testing.T) {
 				}
 			},
 		},
-		{name: "CapacitySweep", run: func(t *testing.T, workers int) any {
-			o := short(workers)
-			o.Replications = 2
-			cr, err := CapacitySweep(capacityWorkload, []float64{0.8, 1.6}, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return cr
-		}},
-		{name: "CCSweep", run: func(t *testing.T, workers int) any {
-			res, err := CCSweep(DefaultCCProtocols(), DefaultCCContentions()[:2], []int{1, 2}, short(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}},
-		{name: "ScaleSweep", run: func(t *testing.T, workers int) any {
-			res, err := ScaleSweep(placement.Locality, []int{4, 16}, []float64{0.9, 0.1}, []float64{0.5}, short(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}},
+		{name: "CapacitySweep", run: capacitySweepAt},
+		{name: "CCSweep", run: ccSweepAt},
+		{name: "ScaleSweep", run: scaleSweepAt},
 		{name: "FailureSweep", run: func(t *testing.T, workers int) any {
 			pts, err := FailureSweep(workload.MB4(8), []float64{0, 30_000, 60_000}, faults, repOpts(1, workers))
 			if err != nil {
@@ -139,10 +127,7 @@ func TestSweepsDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			one, four := row.run(t, 1), row.run(t, 4)
-			if !reflect.DeepEqual(one, four) {
-				t.Fatalf("results differ between 1 and 4 workers:\n%+v\nvs\n%+v", one, four)
-			}
+			one := requireSameAcrossWorkers(t, []int{1, 4}, row.run)
 			if row.check != nil {
 				row.check(t, one)
 			}

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"reflect"
 	"testing"
 
 	"carat/internal/placement"
@@ -16,25 +15,21 @@ func scaleSweepOpts() SimOptions {
 
 // TestScaleSweepDeterministicAcrossWorkerCounts pins that the scale sweep
 // is a pure function of its grid and seed: a 16-site fleet swept over two
-// locality levels produces bit-identical points whether the cells run on
+// locality levels produces bit-identical results whether the cells run on
 // one worker or race across eight.
 func TestScaleSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	var ref *ScaleSweepResult
-	for _, workers := range []int{1, 3, 8} {
-		o := scaleSweepOpts()
-		o.Workers = workers
-		res, err := ScaleSweep(placement.Locality, []int{4, 16}, []float64{0.9, 0.1}, []float64{0.5}, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if !reflect.DeepEqual(ref.Points, res.Points) {
-			t.Fatalf("scale sweep differs between 1 and %d workers", workers)
-		}
+	requireSameAcrossWorkers(t, []int{1, 3, 8}, scaleSweepAt)
+}
+
+// scaleSweepAt runs the scale sweep's determinism grid on workers.
+func scaleSweepAt(t *testing.T, workers int) any {
+	o := scaleSweepOpts()
+	o.Workers = workers
+	res, err := ScaleSweep(placement.Locality, []int{4, 16}, []float64{0.9, 0.1}, []float64{0.5}, o)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res
 }
 
 func TestScaleSweepRejectsEmptyGrid(t *testing.T) {

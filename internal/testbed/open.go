@@ -66,40 +66,44 @@ type OpenConfig struct {
 	Classes           []OpenClass
 }
 
-// Active reports whether open arrivals are configured.
+// Active reports whether open arrivals are configured. Any non-zero rate
+// counts — a negative or NaN one too — so that validation rejects it.
 func (o *OpenConfig) Active() bool {
 	if o == nil {
 		return false
 	}
-	return o.RatePerSec > 0 || len(o.PerSiteRatePerSec) > 0 || len(o.Ramp) > 0
+	return o.RatePerSec != 0 || len(o.PerSiteRatePerSec) > 0 || len(o.Ramp) > 0
 }
 
 // validate checks the open configuration and fills the default class mix in
 // place (one class per kind — the MB-style balanced mix — restricted to the
 // local kinds on a single-site system).
 func (o *OpenConfig) validate(nodes int) error {
-	if o.RatePerSec < 0 {
-		return fmt.Errorf("testbed: open arrival rate %v negative", o.RatePerSec)
+	if !finiteNonNeg(o.RatePerSec) {
+		return fmt.Errorf("testbed: open arrival rate %v not finite and non-negative", o.RatePerSec)
 	}
 	if len(o.PerSiteRatePerSec) > 0 && len(o.PerSiteRatePerSec) != nodes {
 		return fmt.Errorf("testbed: %d per-site open rates for %d nodes", len(o.PerSiteRatePerSec), nodes)
 	}
 	for i, r := range o.PerSiteRatePerSec {
-		if r < 0 {
-			return fmt.Errorf("testbed: open rate for site %d negative", i)
+		if !finiteNonNeg(r) {
+			return fmt.Errorf("testbed: open rate %v for site %d not finite and non-negative", r, i)
 		}
 	}
 	for i, rp := range o.Ramp {
-		if rp.RatePerSec < 0 {
-			return fmt.Errorf("testbed: open ramp point %d rate negative", i)
+		if !finiteNonNeg(rp.RatePerSec) {
+			return fmt.Errorf("testbed: open ramp point %d rate %v not finite and non-negative", i, rp.RatePerSec)
+		}
+		if math.IsNaN(rp.AtMS) || math.IsInf(rp.AtMS, 0) {
+			return fmt.Errorf("testbed: open ramp point %d time %v not finite", i, rp.AtMS)
 		}
 		if i > 0 && rp.AtMS < o.Ramp[i-1].AtMS {
 			return fmt.Errorf("testbed: open ramp points not sorted by time")
 		}
 	}
 	b := o.Burst
-	if b.Factor < 0 || b.OnMeanMS < 0 || b.OffMeanMS < 0 {
-		return fmt.Errorf("testbed: open burst parameters must be non-negative")
+	if !finiteNonNeg(b.Factor) || !finiteNonNeg(b.OnMeanMS) || !finiteNonNeg(b.OffMeanMS) {
+		return fmt.Errorf("testbed: open burst parameters must be finite and non-negative")
 	}
 	if b.Factor > 1 && !b.Active() {
 		return fmt.Errorf("testbed: open burst factor %v needs positive on/off sojourn means", b.Factor)
@@ -128,6 +132,9 @@ func (o *OpenConfig) validate(nodes int) error {
 	}
 	return nil
 }
+
+// finiteNonNeg reports whether x is a finite number ≥ 0 (false for NaN).
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // openGen is one site's arrival generator.
 type openGen struct {

@@ -152,3 +152,33 @@ func TestOpenConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenConfigRejectsNonFinite pins that every open-arrival rate, time
+// and burst parameter rejects NaN and ±Inf: an infinite rate draws zero
+// interarrival gaps and a NaN one never advances the clock, so either
+// would spin the simulator forever instead of failing at New.
+func TestOpenConfigRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mut  func(*OpenConfig)
+	}{
+		{"RatePerSec NaN", func(o *OpenConfig) { o.RatePerSec = nan }},
+		{"RatePerSec +Inf", func(o *OpenConfig) { o.RatePerSec = inf }},
+		{"PerSiteRatePerSec NaN", func(o *OpenConfig) { o.PerSiteRatePerSec = []float64{1, nan} }},
+		{"PerSiteRatePerSec +Inf", func(o *OpenConfig) { o.PerSiteRatePerSec = []float64{inf, 1} }},
+		{"Ramp rate +Inf", func(o *OpenConfig) { o.Ramp = []OpenRampPoint{{0, 1}, {1000, inf}} }},
+		{"Ramp time NaN", func(o *OpenConfig) { o.Ramp = []OpenRampPoint{{nan, 1}} }},
+		{"Ramp time -Inf", func(o *OpenConfig) { o.Ramp = []OpenRampPoint{{-inf, 1}, {0, 2}} }},
+		{"Burst Factor +Inf", func(o *OpenConfig) { o.Burst = openload.Burst{Factor: inf, OnMeanMS: 100, OffMeanMS: 100} }},
+		{"Burst OnMeanMS NaN", func(o *OpenConfig) { o.Burst = openload.Burst{Factor: 4, OnMeanMS: nan, OffMeanMS: 100} }},
+		{"Burst OffMeanMS +Inf", func(o *OpenConfig) { o.Burst = openload.Burst{Factor: 4, OnMeanMS: 100, OffMeanMS: inf} }},
+	}
+	for _, tc := range cases {
+		cfg := openConfig(1, 4, 1)
+		tc.mut(cfg.Open)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
