@@ -1238,6 +1238,26 @@ func (o SimOptions) fill() experiment.SimOptions {
 	return e
 }
 
+// The simulator's per-site metric groups, shared field for field with the
+// testbed's own results: NodeMetrics embeds the first three and
+// Measurement embeds FabricMetrics, so their fields read directly
+// (m.Nodes[0].Crashes, m.NetUtilization) and serialize flat.
+type (
+	// FaultMetrics: crashes, downtime, availability, crash and timeout
+	// aborts, in-doubt resolutions and lost messages (WithFaults).
+	FaultMetrics = testbed.FaultMetrics
+	// ResilienceMetrics: admission-gate sheds, queueings, wait and peak
+	// MPL, and deadlock probes lost and resent (WithResilience, probe loss).
+	ResilienceMetrics = testbed.ResilienceMetrics
+	// ReplOpenMetrics: failover reads, replica applies and quorum reads
+	// (WithReplication), and the open queue's arrivals, offered rate,
+	// population and response percentiles (WithOpenArrivals).
+	ReplOpenMetrics = testbed.ReplOpenMetrics
+	// FabricMetrics: messages, bytes, utilization, contention inflation
+	// and queueing delay on the shared Ethernet (NewScaleConfig).
+	FabricMetrics = testbed.FabricMetrics
+)
+
 // NodeMetrics reports one node's performance, in the units the paper's
 // tables use.
 type NodeMetrics struct {
@@ -1272,23 +1292,8 @@ type NodeMetrics struct {
 	// (simulation only).
 	P95ResponseMS map[TxnType]float64
 
-	// Availability metrics (simulation only; all zero without WithFaults).
-
-	// Crashes counts this site's crashes in the window, and DowntimeMS the
-	// total time it was down; Availability is 1 - DowntimeMS/WindowMS.
-	Crashes      int64
-	DowntimeMS   float64
-	Availability float64
-	// CrashAborts and TimeoutAborts count aborted submissions of
-	// transactions homed here, by cause (deadlock aborts are in Deadlocks).
-	CrashAborts   int64
-	TimeoutAborts int64
-	// InDoubtCommitted and InDoubtAborted count prepared 2PC branches this
-	// site resolved during restart recovery.
-	InDoubtCommitted int64
-	InDoubtAborted   int64
-	// MessagesLost counts lost (and retransmitted) messages leaving here.
-	MessagesLost int64
+	// Fault metrics (simulation only; all zero without WithFaults).
+	FaultMetrics
 	// PartitionAborts counts aborted submissions of transactions homed
 	// here whose participants were severed by a network partition;
 	// PartitionShed counts submissions blocked before they began because
@@ -1304,59 +1309,24 @@ type NodeMetrics struct {
 	// down — the goodput under partial outage.
 	DegradedCommits int64
 
-	// Resilience metrics (simulation only). Retried is live even without
-	// WithResilience — the default policy resubmits every abort; the rest
-	// are zero unless the corresponding knob is set.
-
 	// Retried and Abandoned count aborted submissions of transactions
 	// homed here that were resubmitted vs given up, keyed by abort cause
-	// ("deadlock", "crash", "timeout").
+	// ("deadlock", "crash", "timeout"; simulation only). Retried is live
+	// even without WithResilience: the default policy resubmits every
+	// abort.
 	Retried   map[string]int64
 	Abandoned map[string]int64
-	// ShedArrivals and DelayedArrivals count admission-gate rejections and
-	// queueings at this site; MeanAdmitWaitMS is the mean queueing delay
-	// of the delayed ones, and PeakMPL the high-water mark of concurrently
-	// admitted submissions.
-	ShedArrivals    int64
-	DelayedArrivals int64
-	MeanAdmitWaitMS float64
-	PeakMPL         int
-	// ProbesLost counts deadlock probes fault injection dropped leaving
-	// this site; ProbesResent counts probe rounds re-initiated here.
-	ProbesLost   int64
-	ProbesResent int64
+	// Admission and probe-retransmission metrics (simulation only; zero
+	// unless the corresponding WithResilience knob or probe loss is set).
+	ResilienceMetrics
 	// ValidationAborts counts transactions this site's optimistic
 	// validator rejected at commit (OCC runs only; always zero under
 	// other protocols, whose conflicts surface as deadlocks or restarts).
 	ValidationAborts int64
 
-	// Replication metrics (simulation only; zero without WithReplication).
-
-	// FailoverReads counts reads of a down site's granules this site served
-	// from its replica copies; ReplicaApplies counts committed writers'
-	// updates journaled at this site's replicas (including restart
-	// catch-up); QuorumReads counts quorum confirmations for reads served
-	// here (read-quorum policy only).
-	FailoverReads  int64
-	ReplicaApplies int64
-	QuorumReads    int64
-
-	// Open-arrival metrics (simulation only; zero without WithOpenArrivals).
-
-	// OpenArrivals counts open-mode transactions that arrived at this site
-	// within the window; OpenOfferedPerSec is the measured offered rate.
-	OpenArrivals      int64
-	OpenOfferedPerSec float64
-	// OpenMeanInSystem and OpenPeakInSystem are the time-average and peak
-	// number of open transactions resident at this site, from arrival
-	// (including admission-gate queueing) to completion.
-	OpenMeanInSystem float64
-	OpenPeakInSystem float64
-	// Open response percentiles aggregate the committed response-time
-	// distribution across all transaction types homed here, in ms.
-	OpenMeanResponseMS float64
-	OpenP50ResponseMS  float64
-	OpenP95ResponseMS  float64
+	// Replication and open-arrival metrics (simulation only; zero without
+	// WithReplication and WithOpenArrivals respectively).
+	ReplOpenMetrics
 }
 
 // DemandBreakdown decomposes one transaction type's commit cycle into the
@@ -1397,23 +1367,10 @@ type Measurement struct {
 	Partitions  int64
 	PartitionMS float64
 
-	// Shared-fabric metrics (all zero — and omitted from JSON, keeping
-	// pre-existing serializations byte-identical — unless the workload
-	// routes messages through the contended Ethernet fabric: scale
-	// configurations built with NewScaleConfig).
-
-	// NetMessages and NetBytes count inter-site messages and payload bytes
-	// on the shared wire within the window.
-	NetMessages int64 `json:",omitempty"`
-	NetBytes    int64 `json:",omitempty"`
-	// NetUtilization is the wire's offered utilization (raw transmission
-	// time over the window); values above 1 mean the offered traffic
-	// exceeds the channel's raw capacity.
-	NetUtilization float64 `json:",omitempty"`
-	// NetMeanInflationMS and NetMeanQueueMS are the per-message CSMA/CD
-	// contention inflation and queueing delay, in ms.
-	NetMeanInflationMS float64 `json:",omitempty"`
-	NetMeanQueueMS     float64 `json:",omitempty"`
+	// Shared-fabric metrics (all zero, and omitted from JSON, unless the
+	// workload routes messages through the contended Ethernet fabric:
+	// scale configurations built with NewScaleConfig).
+	FabricMetrics
 }
 
 // Comparison pairs the two for one workload.
@@ -1477,27 +1434,30 @@ func predictionFrom(res *core.Result) *Prediction {
 
 // Simulate runs the CARAT testbed simulator on the workload.
 func Simulate(w Workload, opts SimOptions) (*Measurement, error) {
+	return simulate(w, opts, nil)
+}
+
+// simulate is the one run path behind Simulate and SimulateWithTrace:
+// build the testbed configuration, run it with the optional trace
+// callback, and convert the results.
+func simulate(w Workload, opts SimOptions, trace func(testbed.TraceEvent)) (*Measurement, error) {
 	e := opts.fill()
 	cfg := w.w.TestbedConfig(e.Seed, e.Warmup, e.Duration)
+	cfg.Trace = trace
 	sys, err := testbed.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res := sys.Run()
-	return measurementFrom(res), nil
+	return measurementFrom(sys.Run()), nil
 }
 
 func measurementFrom(res testbed.Results) *Measurement {
 	m := &Measurement{
-		WindowMS:           res.Window,
-		DegradedMS:         res.DegradedMS,
-		Partitions:         res.Partitions,
-		PartitionMS:        res.PartitionMS,
-		NetMessages:        res.NetMessages,
-		NetBytes:           res.NetBytes,
-		NetUtilization:     res.NetUtilization,
-		NetMeanInflationMS: res.NetMeanInflationMS,
-		NetMeanQueueMS:     res.NetMeanQueueMS,
+		WindowMS:      res.Window,
+		DegradedMS:    res.DegradedMS,
+		Partitions:    res.Partitions,
+		PartitionMS:   res.PartitionMS,
+		FabricMetrics: res.FabricMetrics,
 	}
 	for _, n := range res.Nodes {
 		nm := NodeMetrics{
@@ -1512,36 +1472,15 @@ func measurementFrom(res testbed.Results) *Measurement {
 			SubmissionsPerCommit: map[TxnType]float64{},
 			TxnPerSecCI:          map[TxnType]float64{},
 			P95ResponseMS:        map[TxnType]float64{},
-			Crashes:              n.Crashes,
-			DowntimeMS:           n.DowntimeMS,
-			Availability:         n.Availability,
-			CrashAborts:          n.CrashAborts,
-			TimeoutAborts:        n.TimeoutAborts,
-			InDoubtCommitted:     n.InDoubtCommitted,
-			InDoubtAborted:       n.InDoubtAborted,
-			MessagesLost:         n.MessagesLost,
+			FaultMetrics:         n.FaultMetrics,
 			PartitionAborts:      n.PartitionAborts,
 			PartitionShed:        n.PartitionShed,
 			SuspectEvents:        n.SuspectEvents,
 			GrayMS:               n.GrayMS,
 			DegradedCommits:      n.DegradedCommits,
-			ShedArrivals:         n.ShedArrivals,
-			DelayedArrivals:      n.DelayedArrivals,
-			MeanAdmitWaitMS:      n.MeanAdmitWaitMS,
-			PeakMPL:              n.PeakMPL,
-			ProbesLost:           n.ProbesLost,
-			ProbesResent:         n.ProbesResent,
+			ResilienceMetrics:    n.ResilienceMetrics,
 			ValidationAborts:     n.ValidationAborts,
-			FailoverReads:        n.FailoverReads,
-			ReplicaApplies:       n.ReplicaApplies,
-			QuorumReads:          n.QuorumReads,
-			OpenArrivals:         n.OpenArrivals,
-			OpenOfferedPerSec:    n.OpenOfferedPerSec,
-			OpenMeanInSystem:     n.OpenMeanInSystem,
-			OpenPeakInSystem:     n.OpenPeakInSystem,
-			OpenMeanResponseMS:   n.OpenMeanResponseMS,
-			OpenP50ResponseMS:    n.OpenP50ResponseMS,
-			OpenP95ResponseMS:    n.OpenP95ResponseMS,
+			ReplOpenMetrics:      n.ReplOpenMetrics,
 		}
 		for cause, count := range n.Retried {
 			if count > 0 {

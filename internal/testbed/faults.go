@@ -392,7 +392,7 @@ func (s *System) msgPenalty(from NodeID) float64 {
 	var extra float64
 	if f.plan.MsgLossProb > 0 {
 		for f.msgRnd.Bool(f.plan.MsgLossProb) {
-			s.nodes[from].msgsLost.Inc()
+			s.nodes[from].fault.MessagesLost++
 			extra += f.plan.MsgRetransmitMS
 		}
 	}
@@ -410,11 +410,11 @@ func (s *System) msgPenalty(from NodeID) float64 {
 func (s *System) dropProbe(from NodeID) bool {
 	f := s.faults
 	if f.plan.ProbeLossUntilMS > 0 && s.env.Now() < f.plan.ProbeLossUntilMS {
-		s.nodes[from].probesLost.Inc()
+		s.nodes[from].resil.ProbesLost++
 		return true
 	}
 	if f.plan.ProbeLossProb > 0 && f.probeRnd.Bool(f.plan.ProbeLossProb) {
-		s.nodes[from].probesLost.Inc()
+		s.nodes[from].resil.ProbesLost++
 		return true
 	}
 	return false
@@ -430,7 +430,7 @@ func (s *System) crashSite(id NodeID, downFor float64) {
 	if nd.down {
 		return
 	}
-	nd.crashes.Inc()
+	nd.fault.Crashes++
 	s.markDown(nd)
 	s.trace(-1, KindNone, id, EvCrash, -1)
 
@@ -484,14 +484,14 @@ func (s *System) restartSite(id NodeID) {
 			commit := s.coordinatorCommitted(gid)
 			if commit {
 				mustUse(nd, p, func() error { return nd.logDisk.Do(p, disk.ForceWrite, 0) })
-				nd.inDoubtCommit.Inc()
+				nd.fault.InDoubtCommitted++
 			} else {
 				k := nd.journal.BeforeImageCount(gid)
 				for i := 0; i < k; i++ {
 					mustUse(nd, p, func() error { return nd.cpuUse(p, costs.DMIOCPU) })
 					mustUse(nd, p, func() error { return nd.dbDiskFor(0).Do(p, disk.Write, 0) })
 				}
-				nd.inDoubtAbort.Inc()
+				nd.fault.InDoubtAborted++
 			}
 			nd.journal.ResolveInDoubt(gid, commit, nd.store)
 		}
@@ -524,7 +524,7 @@ func (s *System) markDown(nd *node) {
 func (s *System) markUp(nd *node) {
 	now := s.env.Now()
 	nd.down = false
-	nd.downtimeMS += now - nd.downSince
+	nd.fault.DowntimeMS += now - nd.downSince
 	s.downCount--
 	if s.downCount == 0 {
 		s.degradedMS += now - s.degradedSince

@@ -70,16 +70,14 @@ type node struct {
 	deadlocks   stats.Counter
 	globalDead  stats.Counter
 	msgs        stats.Counter
+	// degradedCommits counts commits recorded here while some site was down.
+	degradedCommits stats.Counter
 
-	// Availability measurement state (fault-injection runs).
-	crashes         stats.Counter
-	crashAborts     stats.Counter // aborts of txns homed here caused by a participant crash
-	timeoutAborts   stats.Counter // aborts of txns homed here caused by lock/prepare timeouts
-	inDoubtCommit   stats.Counter // in-doubt branches resolved to commit at restart
-	inDoubtAbort    stats.Counter // in-doubt branches resolved to abort at restart
-	msgsLost        stats.Counter // messages lost (and retransmitted) leaving this node
-	degradedCommits stats.Counter // commits recorded here while some site was down
-	downtimeMS      float64
+	// Live metric groups: the site counts straight into them, and collect
+	// copies each group whole and fills in only its derived fields.
+	fault    FaultMetrics
+	resil    ResilienceMetrics
+	replOpen ReplOpenMetrics
 
 	// Gray-failure state: grayCPU > 1 stretches every CPU service time at
 	// this site (disk degradation lives on the devices); grayActive/graySince
@@ -97,11 +95,7 @@ type node struct {
 	// Resilience measurement state (txns homed here).
 	retried         [numAbortCauses]stats.Counter // aborted submissions that were resubmitted
 	abandoned       [numAbortCauses]stats.Counter // transactions that exhausted the retry budget
-	shedArrivals    stats.Counter                 // arrivals rejected by the admission gate
-	delayedArrivals stats.Counter                 // arrivals queued by the admission gate
 	admitWait       stats.Tally                   // queueing delay at the admission gate (ms)
-	probesLost      stats.Counter                 // deadlock probes dropped leaving this node
-	probesResent    stats.Counter                 // probe rounds re-initiated for blocked txns
 	validationFails stats.Counter                 // OCC validation conflicts detected here
 
 	// Replication state (replication runs only): replVersion maps a replica
@@ -110,20 +104,14 @@ type node struct {
 	// the durable replica-apply records.
 	replVersion map[int]int64
 
-	// Replication measurement state.
-	failoverReads  stats.Counter // failed-over reads served at this site
-	replicaApplies stats.Counter // replica applies journaled here (incl. catch-up)
-	quorumReads    stats.Counter // quorum confirmations for reads served here
-
 	// Open-arrival measurement state (open-mode runs only).
 	openArrivals stats.Counter      // arrivals offered at this site
 	openInSystem stats.TimeWeighted // open transactions concurrently resident here
 
-	// Admission gate state: the currently admitted submission count, its
-	// high-water mark, the FIFO of parked arrivals, and the trailing abort
-	// timestamps behind the abort-rate trigger.
+	// Admission gate state: the currently admitted submission count (its
+	// high-water mark is resil.PeakMPL), the FIFO of parked arrivals, and
+	// the trailing abort timestamps behind the abort-rate trigger.
 	admitted     int
-	peakMPL      int
 	admitQ       []*sim.Event
 	recentAborts []float64
 }
@@ -319,14 +307,10 @@ func (n *node) resetStats(t float64) {
 	n.deadlocks.ResetAt(t)
 	n.globalDead.ResetAt(t)
 	n.msgs.ResetAt(t)
-	n.crashes.ResetAt(t)
-	n.crashAborts.ResetAt(t)
-	n.timeoutAborts.ResetAt(t)
-	n.inDoubtCommit.ResetAt(t)
-	n.inDoubtAbort.ResetAt(t)
-	n.msgsLost.ResetAt(t)
+	n.fault = FaultMetrics{}
+	n.resil = ResilienceMetrics{PeakMPL: n.admitted}
+	n.replOpen = ReplOpenMetrics{}
 	n.degradedCommits.ResetAt(t)
-	n.downtimeMS = 0
 	if n.down {
 		n.downSince = t
 	}
@@ -341,18 +325,10 @@ func (n *node) resetStats(t float64) {
 		n.retried[c].ResetAt(t)
 		n.abandoned[c].ResetAt(t)
 	}
-	n.shedArrivals.ResetAt(t)
-	n.delayedArrivals.ResetAt(t)
 	n.admitWait.Reset()
-	n.probesLost.ResetAt(t)
-	n.probesResent.ResetAt(t)
 	n.validationFails.ResetAt(t)
-	n.failoverReads.ResetAt(t)
-	n.replicaApplies.ResetAt(t)
-	n.quorumReads.ResetAt(t)
 	n.openArrivals.ResetAt(t)
 	n.openInSystem.ResetAt(t)
-	n.peakMPL = n.admitted
 }
 
 // probeHost adapts a node to the probe.Host interface.

@@ -209,7 +209,7 @@ func (s *System) terminateQueued(p *sim.Proc, nd *node, entries []termEntry) {
 		if s.coordinatorCommitted(e.gid) {
 			if prepared {
 				mustUse(nd, p, func() error { return nd.logDisk.Do(p, disk.ForceWrite, 0) })
-				nd.inDoubtCommit.Inc()
+				nd.fault.InDoubtCommitted++
 				nd.journal.ResolveInDoubt(e.gid, true, nd.store)
 			} else {
 				// Read-only branch (no prepared record): record the lazy
@@ -223,7 +223,7 @@ func (s *System) terminateQueued(p *sim.Proc, nd *node, entries []termEntry) {
 				mustUse(nd, p, func() error { return nd.cpuUse(p, costs.DMIOCPU) })
 				mustUse(nd, p, func() error { return nd.dbDiskFor(0).Do(p, disk.Write, 0) })
 			}
-			nd.inDoubtAbort.Inc()
+			nd.fault.InDoubtAborted++
 			nd.journal.ResolveInDoubt(e.gid, false, nd.store)
 		} else {
 			// Never prepared and no coordinator commit: presumed abort.

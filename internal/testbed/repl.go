@@ -141,7 +141,7 @@ func (s *System) drainReplicaApplies(p *sim.Proc, nd *node) {
 			return
 		}
 		nd.replVersion[a.block] = a.gid
-		nd.replicaApplies.Inc()
+		nd.replOpen.ReplicaApplies++
 		s.repl.pending[nd.id] = s.repl.pending[nd.id][1:]
 	}
 	delete(s.repl.pending, nd.id)
@@ -233,7 +233,7 @@ func (u *user) propagateReplicas(p *sim.Proc, st *txnState) {
 			nd.journal.LogReplicaApply(st.gid, blk)
 			mustUse(nd, p, func() error { return nd.logDisk.Do(p, disk.LogWrite, 0) })
 			nd.replVersion[blk] = st.gid
-			nd.replicaApplies.Inc()
+			nd.replOpen.ReplicaApplies++
 			sys.trace(st.gid, st.kind, nd.id, EvReplicaApply, blk)
 		}
 	}
@@ -291,7 +291,7 @@ func (u *user) failoverRead(p *sim.Proc, st *txnState, owner *node, grans []int)
 		if err := u.granuleIO(p, st, serve, g, kind); err != nil {
 			return err
 		}
-		serve.failoverReads.Inc()
+		serve.replOpen.FailoverReads++
 		sys.trace(st.gid, kind, serve.id, EvFailoverRead, lid)
 		if sys.replQuorum(lock.Shared) {
 			if err := u.quorumRead(p, st, serve, owner.id, g); err != nil {
@@ -333,7 +333,7 @@ func (u *user) quorumRead(p *sim.Proc, st *txnState, serve *node, owner NodeID, 
 		}
 		mustUse(nd, p, func() error { return nd.tmStep(p, rcosts.TMCPU) })
 		p.Hold(sys.hop(nd.id, serve.id, controlMsgBytes))
-		serve.quorumReads.Inc()
+		serve.replOpen.QuorumReads++
 		need--
 	}
 	if need > 0 {

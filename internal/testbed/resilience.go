@@ -201,14 +201,14 @@ func (u *user) admit(p *sim.Proc, home *node) {
 	}
 	for home.admitted >= pol.MaxMPL && home.gateEngaged(p.Now()) {
 		if pol.Shed {
-			home.shedArrivals.Inc()
+			home.resil.ShedArrivals++
 			u.sys.trace(-1, u.spec.Kind, home.id, EvShed, -1)
 			p.Hold(pol.ShedBackoffMS)
 			continue
 		}
 		ev := sim.NewEvent(u.sys.env, fmt.Sprintf("admit-%d", u.id))
 		home.admitQ = append(home.admitQ, ev)
-		home.delayedArrivals.Inc()
+		home.resil.DelayedArrivals++
 		t0 := p.Now()
 		if err := ev.Wait(p); err != nil {
 			// Never interrupted in practice (no transaction is registered
@@ -219,8 +219,8 @@ func (u *user) admit(p *sim.Proc, home *node) {
 	}
 	home.admitted++
 	u.holdsSlot = true
-	if home.admitted > home.peakMPL {
-		home.peakMPL = home.admitted
+	if home.admitted > home.resil.PeakMPL {
+		home.resil.PeakMPL = home.admitted
 	}
 }
 

@@ -53,55 +53,20 @@ type NodeResults struct {
 	// Messages counts protocol messages sent or received by this node.
 	Messages int64
 
-	// Availability measurements (all zero without an active fault plan).
-
-	// Crashes counts this site's crashes in the window.
-	Crashes int64
-	// DowntimeMS is the site's total time down (crash until restart
-	// recovery completed) within the window, in ms.
-	DowntimeMS float64
-	// Availability is 1 - DowntimeMS/Window.
-	Availability float64
-	// CrashAborts and TimeoutAborts count aborted submissions of
-	// transactions homed here, by cause (deadlock aborts are counted by
-	// LocalDeadlocks/GlobalDeadlocks).
-	CrashAborts   int64
-	TimeoutAborts int64
-	// InDoubtCommitted and InDoubtAborted count prepared two-phase-commit
-	// branches this site resolved during restart recovery.
-	InDoubtCommitted int64
-	InDoubtAborted   int64
-	// MessagesLost counts lost (and retransmitted) messages leaving here.
-	MessagesLost int64
+	FaultMetrics
 	// DegradedCommits counts commits recorded at this site while at least
 	// one site in the system was down — the goodput under partial outage.
 	DegradedCommits int64
-
-	// Resilience measurements. Retried is live even with a zero Resilience
-	// config — the default policy resubmits every abort, and the counter
-	// measures exactly that; everything else is zero unless the
-	// corresponding knob is set.
 
 	// Retried counts aborted submissions of transactions homed here that
 	// were resubmitted, by abort cause; Abandoned counts transactions that
 	// exhausted their retry budget instead. Together they separate retried
 	// work from given-up work, so availability metrics don't double-count
-	// resubmissions.
+	// resubmissions. Retried is live even with a zero Resilience config:
+	// the default policy resubmits every abort.
 	Retried   map[AbortCause]int64
 	Abandoned map[AbortCause]int64
-	// ShedArrivals and DelayedArrivals count admission-gate rejections and
-	// queueings of arrivals at this site; MeanAdmitWaitMS is the mean
-	// queueing delay of the delayed ones.
-	ShedArrivals    int64
-	DelayedArrivals int64
-	MeanAdmitWaitMS float64
-	// PeakMPL is the high-water mark of concurrently admitted submissions
-	// homed here within the window (0 when admission control is off).
-	PeakMPL int
-	// ProbesLost counts deadlock probes fault injection dropped leaving
-	// this site; ProbesResent counts probe rounds re-initiated here.
-	ProbesLost   int64
-	ProbesResent int64
+	ResilienceMetrics
 
 	// ValidationAborts counts OCC backward-validation conflicts detected
 	// at this site. Zero — and omitted from JSON, keeping non-OCC
@@ -126,37 +91,7 @@ type NodeResults struct {
 	// window within the measurement window, in ms.
 	GrayMS float64 `json:",omitempty"`
 
-	// Replication measurements (all zero unless Config.Replication is
-	// active).
-
-	// FailoverReads counts reads of a down site's granules this site served
-	// from its replica copies.
-	FailoverReads int64
-	// ReplicaApplies counts committed writers' updates journaled at this
-	// site's replica copies, including restart catch-up.
-	ReplicaApplies int64
-	// QuorumReads counts quorum confirmations performed for reads served at
-	// this site (read-quorum policy only).
-	QuorumReads int64
-
-	// Open-arrival measurements (all zero unless Config.Open is active).
-
-	// OpenArrivals counts open-mode transactions that arrived at this site
-	// within the window; OpenOfferedPerSec is the measured offered rate.
-	OpenArrivals      int64
-	OpenOfferedPerSec float64
-	// OpenMeanInSystem and OpenPeakInSystem are the time-average and peak
-	// number of open transactions concurrently resident at this site
-	// (arrival to commit or abandonment, including admission-gate queueing)
-	// — the open queue's N by Little's law.
-	OpenMeanInSystem float64
-	OpenPeakInSystem float64
-	// OpenMeanResponseMS, OpenP50ResponseMS and OpenP95ResponseMS aggregate
-	// the committed response-time distribution across all transaction kinds
-	// homed here (per-kind figures remain in MeanResponse/P95Response).
-	OpenMeanResponseMS float64
-	OpenP50ResponseMS  float64
-	OpenP95ResponseMS  float64
+	ReplOpenMetrics
 }
 
 // Results is a full measurement run.
@@ -173,12 +108,98 @@ type Results struct {
 	Partitions  int64   `json:",omitempty"`
 	PartitionMS float64 `json:",omitempty"`
 
-	// Shared-fabric network measurements: the Ethernet of the scale-out
-	// configurations treated as a first-class queueing center. All zero —
-	// and omitted from JSON, keeping pre-existing serializations
-	// byte-identical — unless the network is a comm.Ethernet with
-	// Hosts > 0.
+	FabricMetrics
+}
 
+// The per-site metric groups below are embedded by value in NodeResults
+// (and FabricMetrics in Results) and, through type aliases, in the facade's
+// carat.NodeMetrics and carat.Measurement, so each field is declared once
+// and serializes identically at both layers. A node counts straight into
+// its live group values; collect copies each group and fills in only the
+// derived fields named in its doc comment. Adding a metric is one field
+// plus its increment.
+
+// FaultMetrics are a site's crash-fault measurements: all zero without an
+// active fault plan. DowntimeMS and Availability are derived at collection.
+type FaultMetrics struct {
+	// Crashes counts this site's crashes in the window.
+	Crashes int64
+	// DowntimeMS is the site's total time down (crash until restart
+	// recovery completed) within the window, in ms.
+	DowntimeMS float64
+	// Availability is 1 - DowntimeMS/Window.
+	Availability float64
+	// CrashAborts and TimeoutAborts count aborted submissions of
+	// transactions homed here, by cause (deadlock aborts are counted as
+	// deadlocks).
+	CrashAborts   int64
+	TimeoutAborts int64
+	// InDoubtCommitted and InDoubtAborted count prepared two-phase-commit
+	// branches this site resolved during restart recovery.
+	InDoubtCommitted int64
+	InDoubtAborted   int64
+	// MessagesLost counts lost (and retransmitted) messages leaving here.
+	MessagesLost int64
+}
+
+// ResilienceMetrics are a site's admission-gate and probe-retransmission
+// measurements: zero unless the corresponding Resilience knob (or probe
+// loss) is set. MeanAdmitWaitMS is derived at collection.
+type ResilienceMetrics struct {
+	// ShedArrivals and DelayedArrivals count admission-gate rejections and
+	// queueings of arrivals at this site; MeanAdmitWaitMS is the mean
+	// queueing delay of the delayed ones.
+	ShedArrivals    int64
+	DelayedArrivals int64
+	MeanAdmitWaitMS float64
+	// PeakMPL is the high-water mark of concurrently admitted submissions
+	// homed here within the window (0 when admission control is off).
+	PeakMPL int
+	// ProbesLost counts deadlock probes fault injection dropped leaving
+	// this site; ProbesResent counts probe rounds re-initiated here.
+	ProbesLost   int64
+	ProbesResent int64
+}
+
+// ReplOpenMetrics are a site's replication measurements (zero unless
+// Config.Replication is active) and open-arrival measurements (zero unless
+// Config.Open is active). Every Open* field is derived at collection.
+type ReplOpenMetrics struct {
+	// FailoverReads counts reads of a down site's granules this site served
+	// from its replica copies.
+	FailoverReads int64
+	// ReplicaApplies counts committed writers' updates journaled at this
+	// site's replica copies, including restart catch-up.
+	ReplicaApplies int64
+	// QuorumReads counts quorum confirmations performed for reads served at
+	// this site (read-quorum policy only).
+	QuorumReads int64
+
+	// OpenArrivals counts open-mode transactions that arrived at this site
+	// within the window; OpenOfferedPerSec is the measured offered rate.
+	OpenArrivals      int64
+	OpenOfferedPerSec float64
+	// OpenMeanInSystem and OpenPeakInSystem are the time-average and peak
+	// number of open transactions concurrently resident at this site
+	// (arrival to commit or abandonment, including admission-gate queueing)
+	// — the open queue's N by Little's law.
+	OpenMeanInSystem float64
+	OpenPeakInSystem float64
+	// OpenMeanResponseMS, OpenP50ResponseMS and OpenP95ResponseMS aggregate
+	// the committed response-time distribution across all transaction kinds
+	// homed here (per-kind figures remain in the per-kind response maps).
+	OpenMeanResponseMS float64
+	OpenP50ResponseMS  float64
+	OpenP95ResponseMS  float64
+}
+
+// FabricMetrics are the shared-fabric network measurements: the Ethernet
+// of the scale-out configurations treated as a first-class queueing
+// center. All zero — and omitted from JSON, keeping pre-existing
+// serializations byte-identical — unless the network is a comm.Ethernet
+// with Hosts > 0. NetMessages and NetBytes count live; the rest are
+// derived at collection.
+type FabricMetrics struct {
 	// NetMessages and NetBytes count the inter-site messages (and their
 	// payload bytes) routed through the shared fabric in the window.
 	NetMessages int64 `json:",omitempty"`
@@ -240,8 +261,7 @@ func (s *System) collect(t float64) Results {
 		nr.MeanLockWait = n.lockWaits.Mean()
 		nr.LockWaits = n.lockWaits.N()
 		nr.Messages = n.msgs.N()
-		nr.Crashes = n.crashes.N()
-		nr.DowntimeMS = n.downtimeMS
+		nr.FaultMetrics = n.fault
 		if n.down {
 			nr.DowntimeMS += t - n.downSince
 		}
@@ -249,11 +269,6 @@ func (s *System) collect(t float64) Results {
 		if res.Window > 0 {
 			nr.Availability = 1 - nr.DowntimeMS/res.Window
 		}
-		nr.CrashAborts = n.crashAborts.N()
-		nr.TimeoutAborts = n.timeoutAborts.N()
-		nr.InDoubtCommitted = n.inDoubtCommit.N()
-		nr.InDoubtAborted = n.inDoubtAbort.N()
-		nr.MessagesLost = n.msgsLost.N()
 		nr.DegradedCommits = n.degradedCommits.N()
 		nr.Retried = make(map[AbortCause]int64)
 		nr.Abandoned = make(map[AbortCause]int64)
@@ -276,15 +291,9 @@ func (s *System) collect(t float64) Results {
 		if n.grayActive {
 			nr.GrayMS += t - n.graySince
 		}
-		nr.ShedArrivals = n.shedArrivals.N()
-		nr.DelayedArrivals = n.delayedArrivals.N()
+		nr.ResilienceMetrics = n.resil
 		nr.MeanAdmitWaitMS = n.admitWait.Mean()
-		nr.PeakMPL = n.peakMPL
-		nr.ProbesLost = n.probesLost.N()
-		nr.ProbesResent = n.probesResent.N()
-		nr.FailoverReads = n.failoverReads.N()
-		nr.ReplicaApplies = n.replicaApplies.N()
-		nr.QuorumReads = n.quorumReads.N()
+		nr.ReplOpenMetrics = n.replOpen
 		if s.open != nil {
 			nr.OpenArrivals = n.openArrivals.N()
 			nr.OpenOfferedPerSec = n.openArrivals.Rate(t) * 1000
@@ -318,14 +327,13 @@ func (s *System) collect(t float64) Results {
 		}
 	}
 	if fb := s.fabric; fb != nil {
-		res.NetMessages = fb.msgs
-		res.NetBytes = fb.bytes
+		res.FabricMetrics = fb.FabricMetrics
 		if res.Window > 0 {
 			res.NetUtilization = fb.busyMS / res.Window
 		}
-		if fb.msgs > 0 {
-			res.NetMeanInflationMS = fb.inflateMS / float64(fb.msgs)
-			res.NetMeanQueueMS = fb.queueMS / float64(fb.msgs)
+		if fb.NetMessages > 0 {
+			res.NetMeanInflationMS = fb.inflateMS / float64(fb.NetMessages)
+			res.NetMeanQueueMS = fb.queueMS / float64(fb.NetMessages)
 		}
 	}
 	return res

@@ -422,11 +422,11 @@ func (u *user) noteAbort(home *node, st *txnState) {
 	u.lastGid = st.gid
 	switch st.cause {
 	case errSiteCrash:
-		home.crashAborts.Inc()
+		home.fault.CrashAborts++
 	case errPartitioned:
 		home.partitionAborts.Inc()
 	case errLockTimeout, errPrepareTimeout:
-		home.timeoutAborts.Inc()
+		home.fault.TimeoutAborts++
 	}
 	home.noteAbortRate(u.sys.env.Now())
 }
@@ -791,7 +791,7 @@ func (u *user) lockWait(p *sim.Proc, st *txnState, nd *node) error {
 				if ev.Triggered() || st.finished || st.doomed || !st.parked || nd.down {
 					return
 				}
-				nd.probesResent.Inc()
+				nd.resil.ProbesResent++
 				sys.trace(st.gid, st.kind, nd.id, EvReprobe, -1)
 				sys.sendProbes(nd.id, nd.detector.Reprobe(probe.TxnID(st.gid)))
 				sys.env.After(rp, rearm)

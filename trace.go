@@ -32,9 +32,7 @@ type TraceEvent struct {
 // protocol event to fn. Tracing slows long runs; it is intended for
 // protocol inspection and debugging.
 func SimulateWithTrace(w Workload, opts SimOptions, fn func(TraceEvent)) (*Measurement, error) {
-	e := opts.fill()
-	cfg := w.w.TestbedConfig(e.Seed, e.Warmup, e.Duration)
-	cfg.Trace = func(ev testbed.TraceEvent) {
+	return simulate(w, opts, func(ev testbed.TraceEvent) {
 		fn(TraceEvent{
 			TimeMS:  ev.T,
 			Txn:     ev.Txn,
@@ -43,11 +41,5 @@ func SimulateWithTrace(w Workload, opts SimOptions, fn func(TraceEvent)) (*Measu
 			Event:   ev.Ev.String(),
 			Granule: ev.Granule,
 		})
-	}
-	sys, err := testbed.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := sys.Run()
-	return measurementFrom(res), nil
+	})
 }
