@@ -31,12 +31,15 @@ type Probe struct {
 	From      TxnID
 	To        TxnID
 	Dest      SiteID
-	// Seq is the initiator's probe round. Initiate starts round 0; each
-	// Reprobe for a still-blocked initiator bumps the round. Forwarding
-	// sites dedup per (initiator, target, round), so a retransmitted round
-	// is chased again even where an earlier — possibly lost — round already
-	// passed through.
-	Seq int
+	// Seq is the initiator's probe round, unique across the whole system:
+	// the initiating site's id in the high 32 bits, and in the low bits
+	// that site's count of rounds opened so far, which never resets. Each
+	// blocking episode's Initiate opens a round, and each Reprobe for a
+	// still-blocked initiator opens another. Forwarding sites dedup per
+	// (initiator, target, round), so a retransmitted round, and any later
+	// blocking episode of the same initiator at any site, is chased again
+	// even where an earlier (possibly lost) round already passed through.
+	Seq int64
 }
 
 // Host exposes the per-site state the detector needs. Implemented by the
@@ -54,7 +57,7 @@ type Host interface {
 type probeKey struct {
 	initiator TxnID
 	to        TxnID
-	seq       int
+	seq       int64
 }
 
 // Detector is the per-site probe engine.
@@ -62,11 +65,13 @@ type Detector struct {
 	site SiteID
 	host Host
 	// sent dedups (initiator, to, round) triples so each probe edge is
-	// chased once per blocking episode and round.
+	// chased once per round.
 	sent map[probeKey]bool
 	// seq is the current probe round per initiator blocked at this site;
-	// absent means round 0 (plain Initiate).
-	seq map[TxnID]int
+	// absent means the next Initiate opens a new blocking episode.
+	seq map[TxnID]int64
+	// rounds counts the rounds this detector has opened (see Probe.Seq).
+	rounds int64
 	// visitBuf is the scratch visited-set for chase, reused across calls.
 	visitBuf map[TxnID]bool
 	// probeBuf is the scratch output slice for chase, reused across calls.
@@ -80,7 +85,7 @@ type Detector struct {
 
 // NewDetector creates the engine for one site.
 func NewDetector(site SiteID, host Host) *Detector {
-	return &Detector{site: site, host: host, sent: make(map[probeKey]bool), seq: make(map[TxnID]int), visitBuf: make(map[TxnID]bool)}
+	return &Detector{site: site, host: host, sent: make(map[probeKey]bool), seq: make(map[TxnID]int64), visitBuf: make(map[TxnID]bool)}
 }
 
 // Counts returns (probes initiated, probes received, deadlocks detected).
@@ -89,8 +94,8 @@ func (d *Detector) Counts() (initiated, received, detected int64) {
 }
 
 // ClearTxn forgets dedup and round state for an initiator, called when the
-// transaction unblocks, aborts, or commits so a future blocking episode
-// re-probes.
+// transaction unblocks, aborts, or commits: its next blocking episode here
+// opens a new round.
 func (d *Detector) ClearTxn(t TxnID) {
 	for k := range d.sent {
 		if k.initiator == t {
@@ -106,7 +111,11 @@ func (d *Detector) ClearTxn(t TxnID) {
 // and are not reported here.
 func (d *Detector) Initiate(blocked TxnID) []Probe {
 	d.initiated++
-	d.probeBuf = d.chase(blocked, blocked, d.seq[blocked], nil, d.probeBuf[:0])
+	round, ok := d.seq[blocked]
+	if !ok {
+		round = d.newRound(blocked)
+	}
+	d.probeBuf = d.chase(blocked, blocked, round, nil, d.probeBuf[:0])
 	return d.probeBuf
 }
 
@@ -116,10 +125,18 @@ func (d *Detector) Initiate(blocked TxnID) []Probe {
 // previous round. Message loss therefore delays detection by at most the
 // caller's retransmission period instead of hiding the deadlock forever.
 func (d *Detector) Reprobe(blocked TxnID) []Probe {
-	d.seq[blocked]++
 	d.initiated++
-	d.probeBuf = d.chase(blocked, blocked, d.seq[blocked], nil, d.probeBuf[:0])
+	d.probeBuf = d.chase(blocked, blocked, d.newRound(blocked), nil, d.probeBuf[:0])
 	return d.probeBuf
+}
+
+// newRound opens the next system-unique probe round (see Probe.Seq) as
+// blocked's current round at this site.
+func (d *Detector) newRound(blocked TxnID) int64 {
+	round := int64(d.site)<<32 | d.rounds
+	d.rounds++
+	d.seq[blocked] = round
+	return round
 }
 
 // Receive processes an incoming probe at this site. It returns any probes
@@ -154,7 +171,7 @@ func (d *Detector) Receive(p Probe) (forward []Probe, victim TxnID, found bool) 
 // target is active at another site, and returns out. visited guards against
 // local cycles re-entering. The top-level call passes the detector's reused
 // scratch slice; the result is only valid until the next detector call.
-func (d *Detector) chase(initiator, txn TxnID, seq int, visited map[TxnID]bool, out []Probe) []Probe {
+func (d *Detector) chase(initiator, txn TxnID, seq int64, visited map[TxnID]bool, out []Probe) []Probe {
 	if visited == nil {
 		visited = d.visitBuf
 		clear(visited)

@@ -185,10 +185,11 @@ func TestReprobeBypassesDedupWithFreshRound(t *testing.T) {
 	if got := d.Reprobe(1); len(got) != 1 || got[0].Seq != 2 {
 		t.Fatalf("second reprobe = %v, want one round-2 probe", got)
 	}
-	// Unblocking resets the round: the next blocking episode starts at 0.
+	// The next blocking episode opens a round none of the initiator's
+	// earlier rounds used, so no site that forwarded one of them drops it.
 	d.ClearTxn(1)
-	if got := d.Initiate(1); len(got) != 1 || got[0].Seq != 0 {
-		t.Fatalf("initiate after ClearTxn = %v, want one round-0 probe", got)
+	if got := d.Initiate(1); len(got) != 1 || got[0].Seq == 0 || got[0].Seq == 1 || got[0].Seq == 2 {
+		t.Fatalf("initiate after ClearTxn = %v, want one probe in a round other than 0, 1 and 2", got)
 	}
 }
 
@@ -211,5 +212,57 @@ func TestForwarderForwardsEachRoundOnce(t *testing.T) {
 	fwd, _, found = d1.Receive(round1)
 	if found || len(fwd) != 1 || fwd[0].Seq != 1 {
 		t.Fatalf("round 1: fwd=%v found=%v, want one forwarded probe", fwd, found)
+	}
+}
+
+func TestLaterEpisodeAtAnotherSiteNotDeduped(t *testing.T) {
+	// Episode 1: txn 1 blocks at site 1 behind txn 2, which is active at
+	// site 0 and waits there for txn 3 at site 1. Site 0 forwards the edge
+	// 1→3; txn 3 is not blocked, so the chain ends without a cycle, and
+	// txn 1's wait at site 1 ends.
+	sites := map[TxnID]SiteID{1: 1, 2: 0, 3: 1}
+	h0 := &fakeHost{edges: map[TxnID][]TxnID{2: {3}}, site: sites}
+	h1 := &fakeHost{edges: map[TxnID][]TxnID{1: {2}}, site: sites}
+	d0, d1 := NewDetector(0, h0), NewDetector(1, h1)
+	ps := d1.Initiate(1)
+	if len(ps) != 1 || ps[0].Dest != 0 {
+		t.Fatalf("episode 1 initiate = %v, want one probe to site 0", ps)
+	}
+	fwd, _, found := d0.Receive(ps[0])
+	if found || len(fwd) != 1 || fwd[0].To != 3 {
+		t.Fatalf("episode 1 at site 0: fwd=%v found=%v, want the edge 1→3", fwd, found)
+	}
+	d1.ClearTxn(1)
+
+	// Episode 2: txn 1 moves to site 0 and blocks behind txn 2 there,
+	// while txn 3 now waits at site 1 for txn 1: the global cycle
+	// 1@0 → 2@0 → 3@1 → 1@0. Site 0 must chase the edge 1→3 again even
+	// though it forwarded that edge in episode 1.
+	sites[1] = 0
+	h0.edges[1] = []TxnID{2}
+	h1.edges = map[TxnID][]TxnID{3: {1}}
+	ps = d0.Initiate(1)
+	if len(ps) != 1 || ps[0].To != 3 || ps[0].Dest != 1 {
+		t.Fatalf("episode 2 initiate = %v, want the edge 1→3 chased again", ps)
+	}
+	if _, victim, found := d1.Receive(ps[0]); !found || victim != 1 {
+		t.Fatalf("episode 2 cycle not detected: found=%v victim=%v", found, victim)
+	}
+}
+
+func TestRoundsUniqueAcrossSites(t *testing.T) {
+	// An episode at site 1 and a later one at site 0, each the first round
+	// its detector opens, must not share a round: a forwarder that chased
+	// site 1's round must still chase site 0's.
+	sites := map[TxnID]SiteID{2: 2}
+	h := &fakeHost{edges: map[TxnID][]TxnID{1: {2}}, site: sites}
+	d0, d1 := NewDetector(0, h), NewDetector(1, h)
+	p1 := d1.Initiate(1)
+	p0 := d0.Initiate(1)
+	if len(p0) != 1 || len(p1) != 1 {
+		t.Fatalf("initiates = %v, %v; want one probe each", p0, p1)
+	}
+	if p0[0].Seq == p1[0].Seq {
+		t.Fatalf("sites 0 and 1 opened the same round %d", p0[0].Seq)
 	}
 }
