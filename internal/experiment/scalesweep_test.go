@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"carat/internal/placement"
+	"carat/internal/testbed"
 )
 
 func scaleSweepOpts() SimOptions {
@@ -110,4 +111,15 @@ func BenchmarkScaleSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	// The kernel's work counts for the one cell, from an untimed rerun: a
+	// fixed-seed cell does the same work every iteration.
+	b.StopTimer()
+	sys, err := testbed.New(ScaleWorkload(placement.Locality, 16, 0.5, 0.5).TestbedConfig(opts.Seed, opts.Warmup, opts.Duration))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys.Run()
+	st := sys.KernelStats()
+	b.ReportMetric(float64(st.Events), "events/op")
+	b.ReportMetric(float64(st.Coroutines), "coroutines/op")
 }

@@ -210,6 +210,10 @@ func New(cfg Config) (*System, error) {
 // Env exposes the simulation environment (tests and tracing).
 func (s *System) Env() *sim.Env { return s.env }
 
+// KernelStats returns the simulation kernel's work counters. They are kept
+// out of Results, whose JSON the kernel equivalence pins hash.
+func (s *System) KernelStats() sim.KernelStats { return s.env.Stats() }
+
 // Run executes the configured warmup and measurement window and returns
 // the collected results. The simulation is torn down before returning:
 // stopping the clock at cfg.Duration parks every user process mid-flight,
