@@ -242,7 +242,7 @@ func (s *System) openArrive(p *sim.Proc, g *openGen) {
 		classRF:    class.RemoteFrac,
 		classPat:   class.Pattern,
 	}
-	s.env.Spawn(fmt.Sprintf("open-%d-%v", seq, class.Kind), func(tp *sim.Proc) {
+	s.env.Spawn("open", func(tp *sim.Proc) {
 		u.execOne(tp)
 		home.openInSystem.Adjust(-1, tp.Now())
 	})

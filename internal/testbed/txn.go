@@ -765,7 +765,7 @@ func (u *user) ccAccess(p *sim.Proc, st *txnState, nd *node, g int, mode lock.Mo
 // killed while waiting.
 func (u *user) lockWait(p *sim.Proc, st *txnState, nd *node) error {
 	sys := u.sys
-	ev := sim.NewEvent(sys.env, fmt.Sprintf("grant-%d", st.gid))
+	ev := sim.NewEvent(sys.env, "grant")
 	nd.grantEv[st.gid] = ev
 	st.parked = true
 	if f := sys.faults; f != nil && f.plan.LockWaitTimeoutMS > 0 {
@@ -995,7 +995,7 @@ func (u *user) fanOutPrepare(p *sim.Proc, st *txnState, home *node, slaves []*no
 	for i, nd := range slaves {
 		i, nd := i, nd
 		done[i] = sim.NewEvent(env, "prepare")
-		env.Spawn(fmt.Sprintf("prepare-%d", nd.id), func(hp *sim.Proc) {
+		env.Spawn("prepare", func(hp *sim.Proc) {
 			rcosts := sys.cfg.Params.CostsFor(nd.id, kind)
 			hp.Hold(sys.hop(home.id, nd.id, controlMsgBytes))
 			if nd.down || st.doomed {
@@ -1099,7 +1099,7 @@ func (u *user) fanOutCommit(p *sim.Proc, st *txnState, home *node, slaves []*nod
 	for i, nd := range slaves {
 		i, nd := i, nd
 		done[i] = sim.NewEvent(env, "commit")
-		env.Spawn(fmt.Sprintf("commit-%d", nd.id), func(hp *sim.Proc) {
+		env.Spawn("commit", func(hp *sim.Proc) {
 			rcosts := sys.cfg.Params.CostsFor(nd.id, kind)
 			hp.Hold(sys.hop(home.id, nd.id, controlMsgBytes))
 			if nd.down {
