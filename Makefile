@@ -16,11 +16,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The -race smoke list; the CI race job runs this target.
+# The -race smoke list; the CI race job runs this target. The internal/sim
+# entries cover coroutine reuse and teardown, which is goroutine-lifecycle
+# code, and FuzzKernelInterleave's seed corpus.
 race:
 	$(GO) test -race \
-		-run 'TestParallelSweepSmoke|TestSweepsDeterministicAcrossWorkerCounts|TestRunGrid|TestFaultRunDeterministic|TestPrepareWindowCrashResolvesInDoubt|TestReplicatedRunDeterministic|TestCapacitySweepDeterministicAcrossWorkerCounts|TestOpenRunDeterministic|TestPartitionRunDeterministic|TestSharedFaultPlanNotMutated|TestCCSweepDeterministicAcrossWorkerCounts|TestScaleSweepDeterministicAcrossWorkerCounts|TestQueCCNoDeadlocksNoProbeTraffic|TestNoProbeStateOutsideDetection' \
-		./internal/experiment/ ./internal/testbed/
+		-run 'TestParallelSweepSmoke|TestSweepsDeterministicAcrossWorkerCounts|TestRunGrid|TestFaultRunDeterministic|TestPrepareWindowCrashResolvesInDoubt|TestReplicatedRunDeterministic|TestCapacitySweepDeterministicAcrossWorkerCounts|TestOpenRunDeterministic|TestPartitionRunDeterministic|TestSharedFaultPlanNotMutated|TestCCSweepDeterministicAcrossWorkerCounts|TestScaleSweepDeterministicAcrossWorkerCounts|TestQueCCNoDeadlocksNoProbeTraffic|TestNoProbeStateOutsideDetection|TestCoroutineReuseSequential|TestDrainedRunLeavesNoGoroutines|TestShutdownRunsDefersOnReusedCoroutine|TestPanicCoroutineNotPooled|FuzzKernelInterleave' \
+		./internal/experiment/ ./internal/testbed/ ./internal/sim/
 
 vet:
 	$(GO) vet ./...
