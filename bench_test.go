@@ -214,6 +214,7 @@ func BenchmarkSimulateMB8(b *testing.B) {
 	sys.Run()
 	st := sys.KernelStats()
 	b.ReportMetric(float64(st.Events), "events/op")
+	b.ReportMetric(float64(st.Resumes), "resumes/op")
 	b.ReportMetric(float64(st.Coroutines), "coroutines/op")
 }
 
