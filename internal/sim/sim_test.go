@@ -475,59 +475,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestAcquireNAllOrNothing(t *testing.T) {
-	e := NewEnv()
-	r := NewResource(e, "pool", 3)
-	var order []string
-	e.Spawn("pair", func(p *Proc) {
-		if err := r.AcquireN(p, 2); err != nil {
-			t.Errorf("AcquireN: %v", err)
-		}
-		order = append(order, "pair-in")
-		p.Hold(10)
-		r.ReleaseN(2)
-		order = append(order, "pair-out")
-	})
-	e.Spawn("triple", func(p *Proc) {
-		p.Hold(1)
-		// Needs all 3 servers: must wait until the pair releases even
-		// though one server is idle meanwhile.
-		if err := r.AcquireN(p, 3); err != nil {
-			t.Errorf("AcquireN: %v", err)
-		}
-		order = append(order, "triple-in")
-		p.Hold(5)
-		r.ReleaseN(3)
-	})
-	end := e.RunAll()
-	if end != 15 {
-		t.Fatalf("end = %v, want 15", end)
-	}
-	want := []string{"pair-in", "pair-out", "triple-in"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestAcquireNPanicsBeyondCapacity(t *testing.T) {
-	e := NewEnv()
-	r := NewResource(e, "pool", 2)
-	e.Spawn("p", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("AcquireN beyond capacity must panic")
-			}
-		}()
-		_ = r.AcquireN(p, 3)
-	})
-	func() {
-		defer func() { recover() }() // the kernel re-panics the process
-		e.RunAll()
-	}()
-}
-
 func TestEventResetWithWaitersPanics(t *testing.T) {
 	e := NewEnv()
 	ev := NewEvent(e, "held")
