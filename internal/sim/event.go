@@ -24,28 +24,6 @@ type eventWaiter struct {
 // Trigger and Reset skip (and reclaim).
 func (w *eventWaiter) detach() { w.removed = true }
 
-// Event waiter records are pooled on the Env, not the Event: the testbed
-// creates Events per transaction, so a per-Event pool would never amortize.
-func (ev *Event) newWaiter(p *Proc) *eventWaiter {
-	e := ev.env
-	var w *eventWaiter
-	if k := len(e.evwPool); k > 0 {
-		w = e.evwPool[k-1]
-		e.evwPool[k-1] = nil
-		e.evwPool = e.evwPool[:k-1]
-	} else {
-		w = &eventWaiter{}
-	}
-	w.p = p
-	w.removed = false
-	return w
-}
-
-func (ev *Event) freeWaiter(w *eventWaiter) {
-	w.p = nil
-	ev.env.evwPool = append(ev.env.evwPool, w)
-}
-
 // NewEvent creates an untriggered event.
 func NewEvent(env *Env, name string) *Event {
 	return &Event{env: env, name: name}
@@ -75,7 +53,7 @@ func (ev *Event) Trigger(result error) {
 			w.p.waiter = nil
 			ev.env.wake(w.p, nil)
 		}
-		ev.freeWaiter(w)
+		ev.env.evwPool.put(w)
 	}
 }
 
@@ -87,7 +65,7 @@ func (ev *Event) Reset() {
 		}
 	}
 	for _, w := range ev.waiters {
-		ev.freeWaiter(w)
+		ev.env.evwPool.put(w)
 	}
 	ev.triggered = false
 	ev.result = nil
@@ -101,7 +79,8 @@ func (ev *Event) Wait(p *Proc) error {
 	if ev.triggered {
 		return ev.result
 	}
-	w := ev.newWaiter(p)
+	w := ev.env.evwPool.get()
+	w.p = p
 	ev.waiters = append(ev.waiters, w)
 	p.waiter = w
 	if err := p.park(); err != nil {

@@ -72,7 +72,7 @@ func TestCalQueueMatchesHeap(t *testing.T) {
 
 		pushKind := func(t float64, kind uint8) {
 			seq++
-			ev := q.alloc()
+			ev := q.free.get()
 			ev.t, ev.seq, ev.kind = t, seq, kind
 			q.push(ev)
 			heap.Push(&ref, &event{t: t, seq: seq, kind: kind})
@@ -85,7 +85,7 @@ func TestCalQueueMatchesHeap(t *testing.T) {
 				t.Fatalf("seed %d: dequeue mismatch: heap %+v, reference %+v", seed, got, want)
 			}
 			now, kind = got.t, got.kind
-			q.release(got)
+			q.free.put(got)
 			return kind
 		}
 

@@ -34,7 +34,7 @@ func BenchmarkKernelQueue(b *testing.B) {
 	var seq int64
 	push := func(t float64, kind uint8) {
 		seq++
-		ev := q.alloc()
+		ev := q.free.get()
 		ev.t, ev.seq, ev.kind = t, seq, kind
 		q.push(ev)
 	}
@@ -46,7 +46,7 @@ func BenchmarkKernelQueue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ev := q.pop()
 		now, kind := ev.t, ev.kind
-		q.release(ev)
+		q.free.put(ev)
 		push(now+steadyDelay(rng, kind), kind)
 	}
 }

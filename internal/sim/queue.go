@@ -4,16 +4,11 @@ package sim
 // processes. Put never blocks; Get blocks (interruptibly) until an item is
 // available. Items are delivered to waiting processes in FCFS order.
 type Queue[T any] struct {
-	env  *Env
-	name string
-	// items[iHead:] is the buffer and waiters[wHead:] the wait queue.
-	// Dequeues advance the head index and each backing array is reused
-	// once its queue empties, so steady-state traffic does not grow them.
-	items   []T
-	iHead   int
-	waiters []*queueWaiter[T]
-	wHead   int
-	pool    []*queueWaiter[T] // free waiter records; steady state allocates none
+	env     *Env
+	name    string
+	items   fifo[T] // the buffer
+	waiters fifo[*queueWaiter[T]]
+	pool    freeList[queueWaiter[T]]
 }
 
 type queueWaiter[T any] struct {
@@ -27,25 +22,6 @@ type queueWaiter[T any] struct {
 // Put skips (and reclaims) when it reaches it.
 func (w *queueWaiter[T]) detach() { w.removed = true }
 
-func (q *Queue[T]) newWaiter(p *Proc) *queueWaiter[T] {
-	var w *queueWaiter[T]
-	if k := len(q.pool); k > 0 {
-		w = q.pool[k-1]
-		q.pool[k-1] = nil
-		q.pool = q.pool[:k-1]
-	} else {
-		w = &queueWaiter[T]{}
-	}
-	w.p = p
-	return w
-}
-
-// freeWaiter recycles w, zeroing it so the pool never pins a carried item.
-func (q *Queue[T]) freeWaiter(w *queueWaiter[T]) {
-	*w = queueWaiter[T]{}
-	q.pool = append(q.pool, w)
-}
-
 // NewQueue creates an empty queue.
 func NewQueue[T any](env *Env, name string) *Queue[T] {
 	return &Queue[T]{env: env, name: name}
@@ -55,12 +31,12 @@ func NewQueue[T any](env *Env, name string) *Queue[T] {
 func (q *Queue[T]) Name() string { return q.name }
 
 // Len returns the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.items) - q.iHead }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Waiting returns the number of processes blocked in Get.
 func (q *Queue[T]) Waiting() int {
 	n := 0
-	for _, w := range q.waiters[q.wHead:] {
+	for _, w := range q.waiters.items() {
 		if !w.removed {
 			n++
 		}
@@ -68,42 +44,14 @@ func (q *Queue[T]) Waiting() int {
 	return n
 }
 
-// popItem removes the buffer head, resetting the backing array for reuse
-// when the buffer empties. The vacated slot is zeroed so the buffer never
-// pins a delivered item.
-func (q *Queue[T]) popItem() T {
-	v := q.items[q.iHead]
-	var zero T
-	q.items[q.iHead] = zero
-	q.iHead++
-	if q.iHead == len(q.items) {
-		q.items = q.items[:0]
-		q.iHead = 0
-	}
-	return v
-}
-
-// popWaiter removes the wait-queue head, resetting the backing array for
-// reuse when the queue empties.
-func (q *Queue[T]) popWaiter() *queueWaiter[T] {
-	w := q.waiters[q.wHead]
-	q.waiters[q.wHead] = nil
-	q.wHead++
-	if q.wHead == len(q.waiters) {
-		q.waiters = q.waiters[:0]
-		q.wHead = 0
-	}
-	return w
-}
-
 // Put appends an item. If a process is waiting, the item is handed to the
 // longest-waiting one; otherwise it is buffered. Put may be called from
 // process or event context and never blocks.
 func (q *Queue[T]) Put(v T) {
-	for q.wHead < len(q.waiters) {
-		w := q.popWaiter()
+	for q.waiters.len() > 0 {
+		w := q.waiters.pop()
 		if w.removed {
-			q.freeWaiter(w)
+			q.pool.put(w)
 			continue
 		}
 		w.item = v
@@ -112,34 +60,35 @@ func (q *Queue[T]) Put(v T) {
 		q.env.wake(w.p, nil)
 		return
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 }
 
 // Get removes and returns the head item, blocking interruptibly while the
 // queue is empty. On interrupt it returns the zero value and the interrupt
 // error.
 func (q *Queue[T]) Get(p *Proc) (T, error) {
-	if q.iHead < len(q.items) {
-		return q.popItem(), nil
+	if q.items.len() > 0 {
+		return q.items.pop(), nil
 	}
-	w := q.newWaiter(p)
-	q.waiters = append(q.waiters, w)
+	w := q.pool.get()
+	w.p = p
+	q.waiters.push(w)
 	p.waiter = w
 	if err := p.park(); err != nil {
 		var zero T
 		return zero, err
 	}
 	v := w.item
-	q.freeWaiter(w)
+	q.pool.put(w)
 	return v, nil
 }
 
 // TryGet removes and returns the head item without blocking. The boolean
 // reports whether an item was available.
 func (q *Queue[T]) TryGet() (T, bool) {
-	if q.iHead == len(q.items) {
+	if q.items.len() == 0 {
 		var zero T
 		return zero, false
 	}
-	return q.popItem(), true
+	return q.items.pop(), true
 }
