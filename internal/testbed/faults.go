@@ -471,7 +471,7 @@ func (s *System) crashSite(id NodeID, downFor float64) {
 func (s *System) restartSite(id NodeID) {
 	nd := s.nodes[id]
 	s.env.Spawn(fmt.Sprintf("recover-%d", id), func(p *sim.Proc) {
-		costs := s.cfg.Params.CostsFor(id, LU)
+		costs := nd.costsFor(LU)
 		undo := durableLoserBlocks(nd.journal)
 		losers, inDoubt := nd.journal.Recover(nd.store)
 		_ = losers

@@ -32,6 +32,12 @@ type node struct {
 	dbDisks []*disk.Device
 	logDisk *disk.Device // == dbDisks[0] when the log shares the database disk
 
+	// costs[k] are the site's phase costs for kind k, resolved from Params
+	// once so the per-request paths do no map lookups. hasCosts[k] is false
+	// for a pair Params lacks; costsFor still panics on it.
+	costs    [4]PhaseCosts
+	hasCosts [4]bool
+
 	// ccp is the site's concurrency-control engine behind the cc.Protocol
 	// interface; the typed fields below expose the one concrete engine the
 	// configured paradigm uses (the others stay nil). locks also feeds the
@@ -144,6 +150,7 @@ func newNode(sys *System, id NodeID, cfg NodeConfig, layout storage.Layout, r *r
 	}
 	n.initCC()
 	for _, k := range []TxnKind{LRO, LU, DRO, DU} {
+		n.costs[k], n.hasCosts[k] = sys.cfg.Params.Costs[id][k]
 		n.commits[k] = &stats.Counter{}
 		n.recordsDone[k] = &stats.Counter{}
 		n.respTime[k] = &stats.Tally{}
@@ -224,6 +231,15 @@ func (n *node) cpuUse(p *sim.Proc, t float64) error {
 		t *= n.grayCPU
 	}
 	return n.cpu.Use(p, t)
+}
+
+// costsFor returns the site's phase costs for kind k, panicking like
+// Params.CostsFor on a pair Params lacks.
+func (n *node) costsFor(k TxnKind) PhaseCosts {
+	if !n.hasCosts[k] {
+		return n.sys.cfg.Params.CostsFor(n.id, k)
+	}
+	return n.costs[k]
 }
 
 // tmStep models one TM server message-processing step: the TM is a critical

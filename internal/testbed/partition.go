@@ -186,7 +186,7 @@ func (s *System) queueTermination(id NodeID, gid int64, release bool) {
 // mid-drain cannot invalidate it. Presumed abort is preserved: a branch
 // commits if and only if the coordinator holds a durable commit record.
 func (s *System) terminateQueued(p *sim.Proc, nd *node, entries []termEntry) {
-	costs := s.cfg.Params.CostsFor(nd.id, LU)
+	costs := nd.costsFor(LU)
 	for _, e := range entries {
 		if nd.down {
 			// Crashed mid-drain: restart recovery supersedes the rest.

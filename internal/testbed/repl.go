@@ -262,7 +262,7 @@ func (u *user) failoverRead(p *sim.Proc, st *txnState, owner *node, grans []int)
 		}
 		st.noteFailover(serve)
 		st.activeNode = serve.id
-		rcosts := sys.cfg.Params.CostsFor(serve.id, kind)
+		rcosts := serve.costsFor(kind)
 		p.Hold(sys.hop(home.id, serve.id, requestMsgBytes))
 		if serve.down || !sys.reachable(home.id, serve.id) {
 			// Crashed — or partitioned away — while the request was in
@@ -326,7 +326,7 @@ func (u *user) quorumRead(p *sim.Proc, st *txnState, serve *node, owner NodeID, 
 		if nd == serve || nd.down || !sys.reachable(serve.id, nd.id) {
 			continue
 		}
-		rcosts := sys.cfg.Params.CostsFor(nd.id, u.spec.Kind)
+		rcosts := nd.costsFor(u.spec.Kind)
 		p.Hold(sys.hop(serve.id, nd.id, controlMsgBytes))
 		if nd.down || !sys.reachable(serve.id, nd.id) {
 			continue
@@ -377,7 +377,7 @@ func (u *user) releaseReplicaReads(p *sim.Proc, st *txnState) {
 			sys.queueTermination(fs.id, st.gid, true)
 			continue
 		}
-		costs := sys.cfg.Params.CostsFor(fs.id, u.spec.Kind)
+		costs := fs.costsFor(u.spec.Kind)
 		p.Hold(sys.hop(home.id, fs.id, controlMsgBytes))
 		if fs.down {
 			continue

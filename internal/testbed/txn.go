@@ -80,7 +80,7 @@ const (
 // simulation clock bound ends it.
 func (u *user) run(p *sim.Proc) {
 	home := u.sys.nodes[u.spec.Home]
-	costs := u.sys.cfg.Params.CostsFor(home.id, u.spec.Kind)
+	costs := home.costsFor(u.spec.Kind)
 	for {
 		if costs.ThinkTime > 0 {
 			p.Hold(costs.ThinkTime)
@@ -99,7 +99,7 @@ func (u *user) run(p *sim.Proc) {
 // the home node only for transactions that commit.
 func (u *user) execOne(p *sim.Proc) {
 	home := u.sys.nodes[u.spec.Home]
-	costs := u.sys.cfg.Params.CostsFor(home.id, u.spec.Kind)
+	costs := home.costsFor(u.spec.Kind)
 	retry := &u.sys.cfg.Resilience.Retry
 	if u.sys.faults != nil {
 		u.awaitFaults(p)
@@ -165,7 +165,6 @@ func (u *user) attempt(p *sim.Proc) attemptOutcome {
 			}
 		}()
 	}
-	cfg := &sys.cfg
 	kind := u.spec.Kind
 	home := sys.nodes[u.spec.Home]
 	var remotes []*node
@@ -181,7 +180,7 @@ func (u *user) attempt(p *sim.Proc) attemptOutcome {
 			remotes = append(remotes, sys.nodes[r])
 		}
 	}
-	costs := cfg.Params.CostsFor(home.id, kind)
+	costs := home.costsFor(kind)
 
 	if sys.faults != nil {
 		// A submission against a down site fails immediately; the user
@@ -299,7 +298,7 @@ func (u *user) attempt(p *sim.Proc) attemptOutcome {
 			u.dropSkippedCC(st, remote)
 			continue
 		}
-		rcosts := cfg.Params.CostsFor(remote.id, kind)
+		rcosts := remote.costsFor(kind)
 		p.Hold(sys.hop(home.id, remote.id, controlMsgBytes))
 		mustUse(remote, p, func() error { return remote.tmStep(p, rcosts.TMCPU) })
 		mustAcquire(remote.dmPool, p)
@@ -347,7 +346,7 @@ func (u *user) attempt(p *sim.Proc) attemptOutcome {
 				aborted = true
 				break
 			} else {
-				rcosts := cfg.Params.CostsFor(exec.id, kind)
+				rcosts := exec.costsFor(kind)
 				p.Hold(sys.hop(home.id, exec.id, requestMsgBytes))
 				// Slave TM receives the REMDO and forwards to the slave DM.
 				mustUse(exec, p, func() error { return exec.tmStep(p, rcosts.TMCPU) })
@@ -363,7 +362,7 @@ func (u *user) attempt(p *sim.Proc) attemptOutcome {
 		}
 
 		if !aborted && dest >= 0 && !failover {
-			rcosts := cfg.Params.CostsFor(exec.id, kind)
+			rcosts := exec.costsFor(kind)
 			// Slave TM routes the response back to the coordinator.
 			mustUse(exec, p, func() error { return exec.tmStep(p, rcosts.TMCPU) })
 			p.Hold(sys.hop(exec.id, home.id, responseMsgBytes))
@@ -637,7 +636,7 @@ func (u *user) dmRequest(p *sim.Proc, st *txnState, nd *node, failover bool, pla
 	sys := u.sys
 	cfg := &sys.cfg
 	kind := u.spec.Kind
-	costs := cfg.Params.CostsFor(nd.id, kind)
+	costs := nd.costsFor(kind)
 	st.activeNode = nd.id
 	if sys.faults != nil && !failover && (nd.down || !sys.reachable(st.home, nd.id)) {
 		if st.cause == nil {
@@ -874,7 +873,7 @@ func (u *user) rollback(p *sim.Proc, st *txnState, participants []*node) {
 			sys.queueTermination(nd.id, st.gid, false)
 			continue
 		}
-		costs := sys.cfg.Params.CostsFor(nd.id, u.spec.Kind)
+		costs := nd.costsFor(u.spec.Kind)
 		if i > 0 {
 			p.Hold(sys.hop(home.id, nd.id, controlMsgBytes))
 			mustUse(nd, p, func() error { return nd.tmStep(p, costs.TMCPU) })
@@ -940,7 +939,7 @@ func (u *user) commitLocal(p *sim.Proc, st *txnState, home *node, costs PhaseCos
 func (u *user) twoPhaseCommit(p *sim.Proc, st *txnState, home *node, slaves []*node) bool {
 	sys := u.sys
 	kind := u.spec.Kind
-	costs := sys.cfg.Params.CostsFor(home.id, kind)
+	costs := home.costsFor(kind)
 
 	// TC: coordinator builds and sends PREPARE.
 	mustUse(home, p, func() error { return home.cpuUse(p, costs.CommitCPU) })
@@ -996,7 +995,7 @@ func (u *user) fanOutPrepare(p *sim.Proc, st *txnState, home *node, slaves []*no
 		i, nd := i, nd
 		done[i] = sim.NewEvent(env, "prepare")
 		env.Spawn("prepare", func(hp *sim.Proc) {
-			rcosts := sys.cfg.Params.CostsFor(nd.id, kind)
+			rcosts := nd.costsFor(kind)
 			hp.Hold(sys.hop(home.id, nd.id, controlMsgBytes))
 			if nd.down || st.doomed {
 				done[i].Trigger(errSiteCrash)
@@ -1100,7 +1099,7 @@ func (u *user) fanOutCommit(p *sim.Proc, st *txnState, home *node, slaves []*nod
 		i, nd := i, nd
 		done[i] = sim.NewEvent(env, "commit")
 		env.Spawn("commit", func(hp *sim.Proc) {
-			rcosts := sys.cfg.Params.CostsFor(nd.id, kind)
+			rcosts := nd.costsFor(kind)
 			hp.Hold(sys.hop(home.id, nd.id, controlMsgBytes))
 			if nd.down {
 				done[i].Trigger(nil)
