@@ -18,10 +18,12 @@ test:
 
 # The -race smoke list; the CI race job runs this target. The internal/sim
 # entries cover coroutine reuse and teardown, which is goroutine-lifecycle
-# code, and FuzzKernelInterleave's seed corpus.
+# code, the kernel-served resource grants (the Use-versus-Acquire+Hold+Release
+# differential and shutdown with a grant pending), and the seed corpora of
+# FuzzKernelInterleave and FuzzKernelInterleaveUse.
 race:
 	$(GO) test -race \
-		-run 'TestParallelSweepSmoke|TestSweepsDeterministicAcrossWorkerCounts|TestRunGrid|TestFaultRunDeterministic|TestPrepareWindowCrashResolvesInDoubt|TestReplicatedRunDeterministic|TestCapacitySweepDeterministicAcrossWorkerCounts|TestOpenRunDeterministic|TestPartitionRunDeterministic|TestSharedFaultPlanNotMutated|TestCCSweepDeterministicAcrossWorkerCounts|TestScaleSweepDeterministicAcrossWorkerCounts|TestQueCCNoDeadlocksNoProbeTraffic|TestNoProbeStateOutsideDetection|TestCoroutineReuseSequential|TestDrainedRunLeavesNoGoroutines|TestShutdownRunsDefersOnReusedCoroutine|TestPanicCoroutineNotPooled|FuzzKernelInterleave' \
+		-run 'TestParallelSweepSmoke|TestSweepsDeterministicAcrossWorkerCounts|TestRunGrid|TestFaultRunDeterministic|TestPrepareWindowCrashResolvesInDoubt|TestReplicatedRunDeterministic|TestCapacitySweepDeterministicAcrossWorkerCounts|TestOpenRunDeterministic|TestPartitionRunDeterministic|TestSharedFaultPlanNotMutated|TestCCSweepDeterministicAcrossWorkerCounts|TestScaleSweepDeterministicAcrossWorkerCounts|TestQueCCNoDeadlocksNoProbeTraffic|TestNoProbeStateOutsideDetection|TestCoroutineReuseSequential|TestDrainedRunLeavesNoGoroutines|TestShutdownRunsDefersOnReusedCoroutine|TestPanicCoroutineNotPooled|FuzzKernelInterleave|TestUseMatchesAcquireHoldRelease|TestShutdownUnwindsServedUse|TestInterruptBetweenGrantAndServe|FuzzKernelInterleaveUse' \
 		./internal/experiment/ ./internal/testbed/ ./internal/sim/
 
 vet:
