@@ -23,6 +23,7 @@ package carat
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -368,145 +369,52 @@ func (w Workload) WithNetworkDelay(alphaMS float64) Workload {
 	return w
 }
 
-// SiteCrash schedules one explicit crash in a FaultPlan: site Site loses
-// its volatile state at AtMS and begins restart recovery DownForMS later.
-type SiteCrash struct {
-	Site      int
-	AtMS      float64
-	DownForMS float64
-}
+// NodeID identifies a site: node A is 0, node B is 1, and so on.
+type NodeID = testbed.NodeID
 
-// PartitionSchedule schedules one network partition: at AtMS the sites
-// split into the given groups (any site not listed stays in an implicit
-// last group), messages cross group boundaries in neither direction, and
-// after HealAfterMS the network heals and deferred reconciliation runs.
-type PartitionSchedule struct {
-	Groups      [][]int
-	AtMS        float64
-	HealAfterMS float64
-}
-
-// GrayFailure degrades one site without failing it: from AtMS for ForMS
-// the site's CPU service times are stretched by CPUFactor and its disk
-// service times by DiskFactor (each >= 1; zero leaves that resource
-// unchanged). The site stays up and answers every protocol — just slowly.
-type GrayFailure struct {
-	Site       int
-	AtMS       float64
-	ForMS      float64
-	CPUFactor  float64
-	DiskFactor float64
-}
-
-// FaultPlan injects mid-run faults into simulator runs: site crashes
+// The fault-injection types, shared field for field with the testbed: a
+// FaultPlan injects mid-run faults into simulator runs — site crashes
 // (explicit schedule and/or an exponential crash process), network
 // partitions (scheduled and/or a random partition process), gray failures,
 // message loss and extra delay on the inter-site network, and the protocol
 // timeouts surviving sites use to degrade gracefully. Fault timing is
-// driven by a dedicated RNG stream derived from Seed, so it is
+// driven by a dedicated RNG stream derived from FaultPlan.Seed, so it is
 // deterministic and independent of the workload seed. A zero plan is fully
-// inert. All times are milliseconds.
-type FaultPlan struct {
-	// Seed drives the fault RNG (zero selects a fixed default stream).
-	Seed uint64
-	// Crashes lists explicit crash/restart events.
-	Crashes []SiteCrash
-	// CrashMTTFMS > 0 adds a random crash process per site with this mean
-	// time to failure; each outage lasts an exponential time with mean
-	// CrashMTTRMS (default 5000) before restart recovery begins.
-	CrashMTTFMS float64
-	CrashMTTRMS float64
-	// MsgLossProb loses each inter-site message with this probability,
-	// adding MsgRetransmitMS (default 10) per retransmission.
-	MsgLossProb     float64
-	MsgRetransmitMS float64
-	// MsgExtraDelayProb adds, with this probability, an exponential extra
-	// delay of mean MsgExtraDelayMS (default 5) to an inter-site hop.
-	MsgExtraDelayProb float64
-	MsgExtraDelayMS   float64
-	// PrepareTimeoutMS bounds the 2PC coordinator's wait for PREPARE
-	// acknowledgments (presumed abort on expiry); zero disables it.
-	PrepareTimeoutMS float64
-	// LockWaitTimeoutMS bounds every lock wait; zero disables it.
-	LockWaitTimeoutMS float64
-	// RetryBackoffMS is how long a user whose slave site is down waits
-	// between submission attempts (default 500).
-	RetryBackoffMS float64
-	// ProbeLossProb drops each inter-site deadlock probe with this
-	// probability — silently, with no retransmission (1.0 is allowed: a
-	// fully partitioned detection channel). Probe retransmission
-	// (Resilience.ProbeRetryMS) is the countermeasure.
-	ProbeLossProb float64
-	// ProbeLossUntilMS, when positive, drops every inter-site probe before
-	// this simulation instant — a bounded detection-channel outage.
-	ProbeLossUntilMS float64
-	// Partitions lists explicit network partitions.
-	Partitions []PartitionSchedule
-	// PartitionMTBFMS > 0 adds a random partition process with this mean
-	// time between partitions; each lasts an exponential time with mean
-	// PartitionMeanMS (default 10000), splitting sites into two groups
-	// with per-site probability PartitionSplitProb (default 0.5).
-	PartitionMTBFMS    float64
-	PartitionMeanMS    float64
-	PartitionSplitProb float64
-	// GraySites lists scheduled gray-failure windows.
-	GraySites []GrayFailure
-	// HeartbeatIntervalMS and SuspectAfterMS tune the heartbeat failure
-	// detector that partitions arm (defaults 250 and 1000): a site
-	// unobserved for SuspectAfterMS is suspected until heard from again.
-	HeartbeatIntervalMS float64
-	SuspectAfterMS      float64
-}
+// inert. All times are milliseconds; each field, with its default, is
+// documented on the internal/testbed type.
+type (
+	FaultPlan = testbed.FaultPlan
+	// SiteCrash schedules one explicit crash: site Site loses its volatile
+	// state at AtMS and begins restart recovery DownForMS later.
+	SiteCrash = testbed.SiteCrash
+	// PartitionSchedule schedules one network partition: at AtMS the sites
+	// split into Groups, only same-group sites exchange messages, and the
+	// network heals HealAfterMS later. Sites in no group stay reachable
+	// from everyone (a partial partition).
+	PartitionSchedule = testbed.PartitionSchedule
+	// GrayFailure degrades one site without failing it: from AtMS for
+	// ForMS its CPU service times are stretched by CPUFactor and its disk
+	// service times by DiskFactor (each >= 1; zero leaves that resource
+	// unchanged).
+	GrayFailure = testbed.GrayFailure
+)
 
 // WithFaults attaches a fault plan to the workload's simulator runs; the
 // analytical model ignores it. Availability metrics appear in
-// NodeMetrics and Measurement.
+// NodeMetrics and Measurement. The workload keeps a private copy of the
+// plan: later changes to f's slices do not reach it.
 func (w Workload) WithFaults(f FaultPlan) Workload {
-	fp := &testbed.FaultPlan{
-		Seed:              f.Seed,
-		CrashMTTFMS:       f.CrashMTTFMS,
-		CrashMTTRMS:       f.CrashMTTRMS,
-		MsgLossProb:       f.MsgLossProb,
-		MsgRetransmitMS:   f.MsgRetransmitMS,
-		MsgExtraDelayProb: f.MsgExtraDelayProb,
-		MsgExtraDelayMS:   f.MsgExtraDelayMS,
-		PrepareTimeoutMS:  f.PrepareTimeoutMS,
-		LockWaitTimeoutMS: f.LockWaitTimeoutMS,
-		RetryBackoffMS:    f.RetryBackoffMS,
-		ProbeLossProb:     f.ProbeLossProb,
-		ProbeLossUntilMS:  f.ProbeLossUntilMS,
-
-		PartitionMTBFMS:     f.PartitionMTBFMS,
-		PartitionMeanMS:     f.PartitionMeanMS,
-		PartitionSplitProb:  f.PartitionSplitProb,
-		HeartbeatIntervalMS: f.HeartbeatIntervalMS,
-		SuspectAfterMS:      f.SuspectAfterMS,
-	}
-	for _, c := range f.Crashes {
-		fp.Crashes = append(fp.Crashes, testbed.SiteCrash{
-			Site: testbed.NodeID(c.Site), AtMS: c.AtMS, DownForMS: c.DownForMS,
-		})
-	}
-	for _, ps := range f.Partitions {
-		groups := make([][]testbed.NodeID, 0, len(ps.Groups))
-		for _, g := range ps.Groups {
-			ids := make([]testbed.NodeID, 0, len(g))
-			for _, s := range g {
-				ids = append(ids, testbed.NodeID(s))
-			}
-			groups = append(groups, ids)
+	f.Crashes = slices.Clone(f.Crashes)
+	f.GraySites = slices.Clone(f.GraySites)
+	f.Partitions = slices.Clone(f.Partitions)
+	for i := range f.Partitions {
+		groups := slices.Clone(f.Partitions[i].Groups)
+		for j := range groups {
+			groups[j] = slices.Clone(groups[j])
 		}
-		fp.Partitions = append(fp.Partitions, testbed.PartitionSchedule{
-			Groups: groups, AtMS: ps.AtMS, HealAfterMS: ps.HealAfterMS,
-		})
+		f.Partitions[i].Groups = groups
 	}
-	for _, g := range f.GraySites {
-		fp.GraySites = append(fp.GraySites, testbed.GrayFailure{
-			Site: testbed.NodeID(g.Site), AtMS: g.AtMS, ForMS: g.ForMS,
-			CPUFactor: g.CPUFactor, DiskFactor: g.DiskFactor,
-		})
-	}
-	w.w.Faults = fp
+	w.w.Faults = &f
 	return w
 }
 
@@ -557,11 +465,11 @@ func ParseFaultPlan(s string) (FaultPlan, error) {
 			if !ok {
 				return f, fmt.Errorf("faults: crash wants SITE@AT+DOWN, got %q", val)
 			}
-			sc := SiteCrash{}
-			var err error
-			if sc.Site, err = strconv.Atoi(site); err != nil {
+			n, err := strconv.Atoi(site)
+			if err != nil {
 				return f, fmt.Errorf("faults: crash site %q: %w", site, err)
 			}
+			sc := SiteCrash{Site: NodeID(n)}
 			if sc.AtMS, err = parseFloat(at); err != nil {
 				return f, fmt.Errorf("faults: crash time %q: %w", at, err)
 			}
@@ -623,7 +531,7 @@ func ParseFaultPlan(s string) (FaultPlan, error) {
 // AT ms and heals HEAL ms later — or one of the key=value options
 //
 //	mtbf=MS     random partition process: mean time between partitions
-//	mean=MS     mean partition duration (default 10000)
+//	mean=MS     mean partition duration (default 5000)
 //	split=P     per-site probability of landing in the first group (0.5)
 //	hb=MS       failure-detector heartbeat interval (default 250)
 //	suspect=MS  suspicion timeout (default 1000)
@@ -671,7 +579,7 @@ func ParsePartitions(s string, f *FaultPlan) error {
 			return fmt.Errorf("partition: heal %q: %w", heal, err)
 		}
 		for _, grp := range strings.Split(groupsPart, "|") {
-			var ids []int
+			var ids []NodeID
 			for _, site := range strings.Split(grp, ",") {
 				site = strings.TrimSpace(site)
 				if site == "" {
@@ -681,7 +589,7 @@ func ParsePartitions(s string, f *FaultPlan) error {
 				if err != nil {
 					return fmt.Errorf("partition: site %q: %w", site, err)
 				}
-				ids = append(ids, id)
+				ids = append(ids, NodeID(id))
 			}
 			if len(ids) > 0 {
 				ps.Groups = append(ps.Groups, ids)
@@ -722,11 +630,11 @@ func ParseGraySites(s string, f *FaultPlan) error {
 		if !ok {
 			return fmt.Errorf("graysites: %q wants SITE@AT+FOR*FACTOR", part)
 		}
-		var g GrayFailure
-		var err error
-		if g.Site, err = strconv.Atoi(strings.TrimSpace(sitePart)); err != nil {
+		site, err := strconv.Atoi(strings.TrimSpace(sitePart))
+		if err != nil {
 			return fmt.Errorf("graysites: site %q: %w", sitePart, err)
 		}
+		g := GrayFailure{Site: NodeID(site)}
 		if g.AtMS, err = parseFloat(at); err != nil {
 			return fmt.Errorf("graysites: time %q: %w", at, err)
 		}
@@ -748,74 +656,26 @@ func ParseGraySites(s string, f *FaultPlan) error {
 	return nil
 }
 
-// RetryPolicy bounds and paces transaction resubmission after aborts
-// (deadlock victims, crashed participants, timeouts). All times are
-// milliseconds; the zero value is the paper's behavior — retry
-// immediately, forever.
-type RetryPolicy struct {
-	// MaxAttempts caps submissions per user transaction; on exhaustion the
-	// transaction is abandoned and counted, not resubmitted. Zero means
-	// unlimited.
-	MaxAttempts int
-	// BaseBackoffMS starts the exponential backoff between resubmissions;
-	// zero disables backoff. Successive waits multiply by Multiplier
-	// (default 2) up to MaxBackoffMS (default 32× base), with a symmetric
-	// ±JitterFrac random perturbation from a dedicated RNG stream.
-	BaseBackoffMS float64
-	MaxBackoffMS  float64
-	Multiplier    float64
-	JitterFrac    float64
-}
-
-// AdmissionPolicy gates transaction arrivals at each site by
-// multiprogramming level. Zero MaxMPL disables the gate.
-type AdmissionPolicy struct {
-	// MaxMPL caps concurrently admitted submissions homed at a site.
-	MaxMPL int
-	// AbortRateThreshold, when positive, engages the gate only while the
-	// site's abort rate (aborts/s over WindowMS, default 1000) is at or
-	// above it; zero engages the gate unconditionally.
-	AbortRateThreshold float64
-	WindowMS           float64
-	// Shed rejects excess arrivals (they re-try after ShedBackoffMS,
-	// default 100) instead of queueing them FIFO.
-	Shed          bool
-	ShedBackoffMS float64
-}
-
+// The resilience policies, shared field for field with the testbed: a
 // Resilience configures the simulator's overload and failure
-// countermeasures: retry with backoff, admission control, and periodic
+// countermeasures — retry with backoff (RetryPolicy), per-site admission
+// control by multiprogramming level (AdmissionPolicy), and periodic
 // retransmission of deadlock-detection probes for still-blocked
-// transactions (ProbeRetryMS > 0; countermeasure to probe loss). The zero
-// value is fully inert — simulator runs are byte-identical with and
-// without it.
-type Resilience struct {
-	Retry        RetryPolicy
-	Admission    AdmissionPolicy
-	ProbeRetryMS float64
-}
+// transactions (ProbeRetryMS > 0; the countermeasure to probe loss). The
+// zero value is fully inert: retry immediately, forever, as the paper's
+// testbed did. All times are milliseconds; each field, with its default,
+// is documented on the internal/testbed type.
+type (
+	Resilience      = testbed.Resilience
+	RetryPolicy     = testbed.RetryPolicy
+	AdmissionPolicy = testbed.AdmissionPolicy
+)
 
 // WithResilience attaches the resilience policies to the workload's
 // simulator runs; the analytical model ignores them. Retry, admission and
 // probe counters appear in NodeMetrics.
 func (w Workload) WithResilience(r Resilience) Workload {
-	w.w.Resilience = testbed.Resilience{
-		Retry: testbed.RetryPolicy{
-			MaxAttempts:   r.Retry.MaxAttempts,
-			BaseBackoffMS: r.Retry.BaseBackoffMS,
-			MaxBackoffMS:  r.Retry.MaxBackoffMS,
-			Multiplier:    r.Retry.Multiplier,
-			JitterFrac:    r.Retry.JitterFrac,
-		},
-		Admission: testbed.AdmissionPolicy{
-			MaxMPL:             r.Admission.MaxMPL,
-			AbortRateThreshold: r.Admission.AbortRateThreshold,
-			WindowMS:           r.Admission.WindowMS,
-			Shed:               r.Admission.Shed,
-			ShedBackoffMS:      r.Admission.ShedBackoffMS,
-		},
-		ProbeRetryMS: r.ProbeRetryMS,
-	}
+	w.w.Resilience = r
 	return w
 }
 
@@ -1589,42 +1449,16 @@ func RunChaos(w Workload, opts ChaosOptions) (*ChaosReport, error) {
 	return out, nil
 }
 
-// CapacityPoint is the measurement at one offered-load grid point of a
-// capacity sweep. All rates are system-wide transactions per second.
-type CapacityPoint struct {
-	// LambdaTPS is the configured offered rate; OfferedTPS is the rate the
-	// arrival processes actually generated in the measurement window.
-	LambdaTPS  float64
-	OfferedTPS float64
-	// CommittedTPS is the goodput; ShedTPS counts arrivals the admission
-	// gate rejected, AbandonedTPS transactions that exhausted their retry
-	// budget.
-	CommittedTPS float64
-	ShedTPS      float64
-	AbandonedTPS float64
-	// Response-time percentiles over committed transactions, in ms.
-	MeanResponseMS float64
-	P50ResponseMS  float64
-	P95ResponseMS  float64
-	// MeanInSystem is the time-average number of resident open
-	// transactions, system-wide.
-	MeanInSystem float64
-}
-
-// CapacityReport is a full capacity sweep: per-λ measurements plus the
-// derived saturation summary.
-type CapacityReport struct {
-	Workload string
-	Points   []CapacityPoint
-	// PeakCommittedTPS is the measured capacity (largest goodput on the
-	// grid); KneeLambdaTPS is the smallest offered rate reaching 95% of it.
-	PeakCommittedTPS float64
-	KneeLambdaTPS    float64
-	// BottleneckBoundTPS is the closed model's MVA bottleneck bound 1/D_max
-	// (Section 4) — zero when the workload has no closed users or cannot be
-	// modeled.
-	BottleneckBoundTPS float64
-}
+// CapacityReport is a full capacity sweep: per-λ CapacityPoint
+// measurements (system-wide rates in transactions per second, response
+// percentiles in ms) plus the derived saturation summary — the measured
+// peak goodput, the knee, and the closed model's MVA bottleneck bound
+// 1/D_max (zero when the workload has no closed users or cannot be
+// modeled).
+type (
+	CapacityReport = experiment.CapacityResult
+	CapacityPoint  = experiment.CapacityPoint
+)
 
 // CapacitySweep measures the workload's open-arrival saturation behavior:
 // one simulation per rate in lambdasPerSec (system-wide arrivals per
@@ -1638,43 +1472,15 @@ type CapacityReport struct {
 // are bit-identical for any worker count.
 func CapacitySweep(w Workload, lambdasPerSec []float64, opts SimOptions) (*CapacityReport, error) {
 	wl := w.w
-	cr, err := experiment.CapacitySweep(func() workload.Workload { return wl }, lambdasPerSec, opts.fill())
-	if err != nil {
-		return nil, err
-	}
-	out := &CapacityReport{
-		Workload:           cr.Workload,
-		PeakCommittedTPS:   cr.PeakCommittedTPS,
-		KneeLambdaTPS:      cr.KneeLambdaTPS,
-		BottleneckBoundTPS: cr.BottleneckBoundTPS,
-	}
-	for _, p := range cr.Points {
-		out.Points = append(out.Points, CapacityPoint(p))
-	}
-	return out, nil
+	return experiment.CapacitySweep(func() workload.Workload { return wl }, lambdasPerSec, opts.fill())
 }
 
 // CCComparisonPoint is the measurement at one (protocol, contention, MPL)
-// cell of the concurrency-control comparison lab.
-type CCComparisonPoint struct {
-	// Protocol and Contention name the cell; Users is the closed
-	// multiprogramming level across both sites.
-	Protocol   string
-	Contention string
-	Users      int
-	// CommittedTPS is system-wide goodput; AbortRate the aborted fraction
-	// of submissions; MeanResponseMS the commit-weighted mean response.
-	CommittedTPS   float64
-	AbortRate      float64
-	MeanResponseMS float64
-	// Paradigm-specific counters: deadlock victims and probe rounds exist
-	// only under locking, validation aborts only under OCC, and lock waits
-	// never under OCC or TO.
-	Deadlocks        int64
-	ProbesResent     int64
-	ValidationAborts int64
-	LockWaits        int64
-}
+// cell of the concurrency-control comparison lab: system-wide goodput,
+// abort rate, mean response, and the paradigm-specific counters (deadlock
+// victims and probe rounds exist only under locking, validation aborts
+// only under OCC, and lock waits never under OCC or TO).
+type CCComparisonPoint = experiment.CCSweepPoint
 
 // CCComparisonReport is the full protocol × contention × MPL grid.
 type CCComparisonReport struct {
@@ -1706,12 +1512,9 @@ func CompareConcurrencyControls(protocols []ConcurrencyControl, mpls []int, opts
 	if err != nil {
 		return nil, err
 	}
-	out := &CCComparisonReport{Contentions: res.Contentions, MPLs: res.MPLs}
+	out := &CCComparisonReport{Contentions: res.Contentions, MPLs: res.MPLs, Points: res.Points}
 	for _, p := range res.Protocols {
 		out.Protocols = append(out.Protocols, p.String())
-	}
-	for _, p := range res.Points {
-		out.Points = append(out.Points, CCComparisonPoint(p))
 	}
 	return out, nil
 }
@@ -1770,28 +1573,8 @@ func NewScaleConfig(sites int, strategy PlacementStrategy, locality, lambdaPerSi
 
 // ScalePoint is the measurement at one (sites, locality, λ) cell of a
 // scale sweep: throughput, and the per-center utilizations that locate
-// the cell's bottleneck.
-type ScalePoint struct {
-	Sites         int
-	Locality      float64
-	LambdaPerSite float64
-	// CommittedTPS is system-wide goodput; AbortRate the aborted fraction
-	// of submissions; MeanResponseMS the commit-weighted mean response.
-	CommittedTPS   float64
-	AbortRate      float64
-	MeanResponseMS float64
-	// The candidate bottleneck centers: maximum CPU, disk and TM
-	// utilization over all sites, and the shared wire's utilization with
-	// its per-message contention and queueing delays.
-	MaxCPUUtil         float64
-	MaxDiskUtil        float64
-	MaxTMUtil          float64
-	WireUtil           float64
-	NetMeanInflationMS float64
-	NetMeanQueueMS     float64
-	// Bottleneck names the max-utilization center: cpu, disk, tm or wire.
-	Bottleneck string
-}
+// the cell's bottleneck (cpu, disk, tm or wire).
+type ScalePoint = experiment.ScalePoint
 
 // ScaleReport is the full sites × locality × λ grid of one scale sweep.
 type ScaleReport struct {
@@ -1819,16 +1602,13 @@ func ScaleSweep(strategy PlacementStrategy, sites []int, localities, lambdasPerS
 	if err != nil {
 		return nil, err
 	}
-	out := &ScaleReport{
+	return &ScaleReport{
 		Strategy:       res.Strategy.String(),
 		Sites:          res.Sites,
 		Localities:     res.Localities,
 		LambdasPerSite: res.Lambdas,
-	}
-	for _, p := range res.Points {
-		out.Points = append(out.Points, ScalePoint(p))
-	}
-	return out, nil
+		Points:         res.Points,
+	}, nil
 }
 
 // Estimate is an across-replication estimate: the mean over independent
