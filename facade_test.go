@@ -2,6 +2,7 @@ package carat
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -314,5 +315,136 @@ func TestFacadeRejectsNonFinite(t *testing.T) {
 	}
 	if len(fp.Partitions)+len(fp.GraySites) != 0 || fp.PartitionMTBFMS != 0 {
 		t.Errorf("rejected entries reached the plan: %+v", fp)
+	}
+}
+
+// TestParsersFillEveryKey sets every key of the fault, partition,
+// gray-failure and resilience syntaxes, each to a distinct value, and
+// checks that each value lands in its own field.
+func TestParsersFillEveryKey(t *testing.T) {
+	cases := []struct {
+		name  string
+		parse func() (any, error)
+		want  any
+	}{
+		{
+			name: "ParseFaultPlan",
+			parse: func() (any, error) {
+				return ParseFaultPlan("crash=1@100+200,crash=0@300+400,mttf=1,mttr=2,loss=0.03,retrans=4," +
+					"delayp=0.05,delayms=6,prepto=7,lockto=8,backoff=9,probeloss=0.1,probeout=11,fseed=12")
+			},
+			want: FaultPlan{
+				Seed:              12,
+				Crashes:           []SiteCrash{{Site: 1, AtMS: 100, DownForMS: 200}, {Site: 0, AtMS: 300, DownForMS: 400}},
+				CrashMTTFMS:       1,
+				CrashMTTRMS:       2,
+				MsgLossProb:       0.03,
+				MsgRetransmitMS:   4,
+				MsgExtraDelayProb: 0.05,
+				MsgExtraDelayMS:   6,
+				PrepareTimeoutMS:  7,
+				LockWaitTimeoutMS: 8,
+				RetryBackoffMS:    9,
+				ProbeLossProb:     0.1,
+				ProbeLossUntilMS:  11,
+			},
+		},
+		{
+			name: "ParsePartitions",
+			parse: func() (any, error) {
+				var f FaultPlan
+				err := ParsePartitions("0,1|2@100+200;mtbf=1;mean=2;split=0.3;hb=4;suspect=5", &f)
+				return f, err
+			},
+			want: FaultPlan{
+				Partitions:          []PartitionSchedule{{Groups: [][]NodeID{{0, 1}, {2}}, AtMS: 100, HealAfterMS: 200}},
+				PartitionMTBFMS:     1,
+				PartitionMeanMS:     2,
+				PartitionSplitProb:  0.3,
+				HeartbeatIntervalMS: 4,
+				SuspectAfterMS:      5,
+			},
+		},
+		{
+			name: "ParseGraySites",
+			parse: func() (any, error) {
+				var f FaultPlan
+				err := ParseGraySites("1@100+200*3;0@300+400*2/5", &f)
+				return f, err
+			},
+			want: FaultPlan{GraySites: []GrayFailure{
+				{Site: 1, AtMS: 100, ForMS: 200, CPUFactor: 3, DiskFactor: 3},
+				{Site: 0, AtMS: 300, ForMS: 400, CPUFactor: 2, DiskFactor: 5},
+			}},
+		},
+		{
+			name: "ParseResilience",
+			parse: func() (any, error) {
+				return ParseResilience("retries=1,backoff=2,maxbackoff=3,mult=4,jitter=0.5,mpl=6," +
+					"abortrate=7,window=8,shed=true,shedbackoff=9,probe=10")
+			},
+			want: Resilience{
+				Retry: RetryPolicy{MaxAttempts: 1, BaseBackoffMS: 2, MaxBackoffMS: 3, Multiplier: 4, JitterFrac: 0.5},
+				Admission: AdmissionPolicy{
+					MaxMPL: 6, AbortRateThreshold: 7, WindowMS: 8, Shed: true, ShedBackoffMS: 9,
+				},
+				ProbeRetryMS: 10,
+			},
+		},
+	}
+	for _, c := range cases {
+		got, err := c.parse()
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestWithFaultsKeepsPrivateCopy pins that WithFaults copies the plan's
+// slices: changing the caller's crash, gray-failure and partition entries
+// after the call must not change the workload's runs.
+func TestWithFaultsKeepsPrivateCopy(t *testing.T) {
+	plan := func() FaultPlan {
+		f, err := ParseFaultPlan("crash=1@10000+5000")
+		if err == nil {
+			err = ParsePartitions("0|1@20000+10000", &f)
+		}
+		if err == nil {
+			err = ParseGraySites("0@5000+20000*3", &f)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	fleet, err := NewScaleConfig(4, HashPlacement, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := SimOptions{Seed: 3, WarmupMS: 2_000, DurationMS: 40_000}
+	simulate := func(w Workload) *Measurement {
+		t.Helper()
+		m, err := Simulate(w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	want := simulate(fleet.WithFaults(plan()))
+
+	f := plan()
+	w := fleet.WithFaults(f)
+	f.Crashes[0] = SiteCrash{Site: 2, AtMS: 3000, DownForMS: 30000}
+	f.GraySites[0].Site = 3
+	f.Partitions[0].Groups[0][0] = 2
+	if reflect.DeepEqual(simulate(fleet.WithFaults(f)), want) {
+		t.Fatal("the changed plan runs like the original; the test cannot see a shared slice")
+	}
+	if got := simulate(w); !reflect.DeepEqual(got, want) {
+		t.Errorf("changing the caller's plan after WithFaults changed the run:\n got %+v\nwant %+v", got, want)
 	}
 }
