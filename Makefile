@@ -26,8 +26,11 @@ race:
 		-run 'TestParallelSweepSmoke|TestSweepsDeterministicAcrossWorkerCounts|TestRunGrid|TestFaultRunDeterministic|TestPrepareWindowCrashResolvesInDoubt|TestReplicatedRunDeterministic|TestCapacitySweepDeterministicAcrossWorkerCounts|TestOpenRunDeterministic|TestPartitionRunDeterministic|TestSharedFaultPlanNotMutated|TestCCSweepDeterministicAcrossWorkerCounts|TestScaleSweepDeterministicAcrossWorkerCounts|TestQueCCNoDeadlocksNoProbeTraffic|TestNoProbeStateOutsideDetection|TestCoroutineReuseSequential|TestDrainedRunLeavesNoGoroutines|TestShutdownRunsDefersOnReusedCoroutine|TestPanicCoroutineNotPooled|FuzzKernelInterleave|TestUseMatchesAcquireHoldRelease|TestShutdownUnwindsServedUse|TestInterruptBetweenGrantAndServe|FuzzKernelInterleaveUse' \
 		./internal/experiment/ ./internal/testbed/ ./internal/sim/
 
+# perfbench/ is its own module, so ./... skips it; vetting it compiles the
+# benchmark against the current facade.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet .
 
 # Record a benchmark baseline for perf PRs to diff against: the whole -bench
 # suite with allocation stats as a JSON event stream in BENCH_<date>.json.
