@@ -19,11 +19,13 @@ test:
 # The -race smoke list; the CI race job runs this target. The internal/sim
 # entries cover coroutine reuse and teardown, which is goroutine-lifecycle
 # code, the kernel-served resource grants (the Use-versus-Acquire+Hold+Release
-# differential and shutdown with a grant pending), and the seed corpora of
-# FuzzKernelInterleave and FuzzKernelInterleaveUse.
+# differential and shutdown with a grant pending), visit chains (the
+# Visits-versus-Use differential, and an interrupt, a shutdown and a panic
+# in Next mid-chain), and the seed corpora of FuzzKernelInterleave and
+# FuzzKernelInterleaveUse.
 race:
 	$(GO) test -race \
-		-run 'TestParallelSweepSmoke|TestSweepsDeterministicAcrossWorkerCounts|TestRunGrid|TestFaultRunDeterministic|TestPrepareWindowCrashResolvesInDoubt|TestReplicatedRunDeterministic|TestCapacitySweepDeterministicAcrossWorkerCounts|TestOpenRunDeterministic|TestPartitionRunDeterministic|TestSharedFaultPlanNotMutated|TestCCSweepDeterministicAcrossWorkerCounts|TestScaleSweepDeterministicAcrossWorkerCounts|TestQueCCNoDeadlocksNoProbeTraffic|TestNoProbeStateOutsideDetection|TestCoroutineReuseSequential|TestDrainedRunLeavesNoGoroutines|TestShutdownRunsDefersOnReusedCoroutine|TestPanicCoroutineNotPooled|FuzzKernelInterleave|TestUseMatchesAcquireHoldRelease|TestShutdownUnwindsServedUse|TestInterruptBetweenGrantAndServe|FuzzKernelInterleaveUse' \
+		-run 'TestParallelSweepSmoke|TestSweepsDeterministicAcrossWorkerCounts|TestRunGrid|TestFaultRunDeterministic|TestPrepareWindowCrashResolvesInDoubt|TestReplicatedRunDeterministic|TestCapacitySweepDeterministicAcrossWorkerCounts|TestOpenRunDeterministic|TestPartitionRunDeterministic|TestSharedFaultPlanNotMutated|TestCCSweepDeterministicAcrossWorkerCounts|TestScaleSweepDeterministicAcrossWorkerCounts|TestQueCCNoDeadlocksNoProbeTraffic|TestNoProbeStateOutsideDetection|TestCoroutineReuseSequential|TestDrainedRunLeavesNoGoroutines|TestShutdownRunsDefersOnReusedCoroutine|TestPanicCoroutineNotPooled|FuzzKernelInterleave|TestUseMatchesAcquireHoldRelease|TestShutdownUnwindsServedUse|TestInterruptBetweenGrantAndServe|FuzzKernelInterleaveUse|TestVisitsMatchUses|TestInterruptMidChain|TestShutdownMidChain|TestPanicInNext' \
 		./internal/experiment/ ./internal/testbed/ ./internal/sim/
 
 # perfbench/ is its own module, so ./... skips it; vetting it compiles the

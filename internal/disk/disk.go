@@ -199,13 +199,27 @@ func (d *Device) SetSlowdown(f float64) { d.slow = f }
 // Do performs one disk operation: queue FCFS, hold for the drawn service
 // time, release. The queue wait is interruptible.
 func (d *Device) Do(p *sim.Proc, op OpKind, block int) error {
+	r, t := d.Visit(op, block)
+	if err := r.Use(p, t); err != nil {
+		return err
+	}
+	d.Done(op)
+	return nil
+}
+
+// Visit draws the service time of one operation on block and returns it
+// with the station that serves it, for a Use or a visit chain (see
+// sim.Proc.Visits). Done counts the operation once its visit is over.
+func (d *Device) Visit(op OpKind, block int) (*sim.Resource, float64) {
 	t := d.model.Time(d.r, op, block)
 	if d.slow > 1 {
 		t *= d.slow
 	}
-	if err := d.station.Use(p, t); err != nil {
-		return err
-	}
+	return d.station, t
+}
+
+// Done counts one completed operation of kind op.
+func (d *Device) Done(op OpKind) {
 	switch op {
 	case Read:
 		d.reads++
@@ -214,7 +228,6 @@ func (d *Device) Do(p *sim.Proc, op OpKind, block int) error {
 	default:
 		d.logs++
 	}
-	return nil
 }
 
 // Counts returns the number of completed reads, writes, and log writes.

@@ -16,7 +16,9 @@
 // process returns, its coroutine waits in an idle pool to run the next
 // process started. The process API (Proc, Hold, Resource, Queue, Event) is
 // a thin veneer over this loop, so model code still reads as sequential
-// programs.
+// programs. A process can also hand the kernel a chain of station visits
+// (Proc.Visits), which the kernel advances from visit to visit without
+// switching into the process.
 package sim
 
 import (
@@ -246,7 +248,11 @@ func (e *Env) dispatch(ev *event) {
 	case evResume:
 		p, err := ev.proc, ev.err
 		e.q.free.put(ev)
-		e.resume(p, err)
+		if err == nil && p.co.at != nil {
+			e.visited(p)
+		} else {
+			e.resume(p, err)
+		}
 	case evCall:
 		fn := ev.fn
 		e.q.free.put(ev)
@@ -297,6 +303,16 @@ type coro struct {
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
+
+	// The process's station visits (see Proc.Visits): chain supplies the
+	// visits after the current one (nil for a single Use), at is the
+	// station of the visit in progress (nil outside a visit) and start
+	// the time it began. fault is a panic raised by the chain's Next on
+	// the kernel's stack, handed to the process to re-raise.
+	chain Chain
+	at    *Resource
+	start float64
+	fault any
 }
 
 // newCoro creates a coroutine; the caller hands it a process before the

@@ -16,6 +16,9 @@ import (
 // once, when its service ends, instead of once at the grant and again at
 // the end. The serve event takes the wakeup's place in the event order, so
 // the dispatch sequence is the same as if the process had woken itself.
+// The end of a visit — residence, release and, in a chain, the start of
+// the next visit — is likewise done by the kernel before the process is
+// resumed (see Proc.Visits).
 //
 // A Resource collects the statistics a queueing study needs: utilization,
 // mean queue length (waiting + in service), completion count, and the wait
@@ -69,28 +72,40 @@ func (r *Resource) Name() string { return r.name }
 // Acquire obtains one server, waiting FCFS if none is free. The wait is
 // interruptible; on interrupt the process leaves the queue and the error is
 // returned.
-func (r *Resource) Acquire(p *Proc) error { return r.acquire(p, 0) }
-
-// acquire obtains one server, waiting FCFS if none is free, and holds it
-// for d before returning. A queued customer returns once serve has run its
-// grant and the hold is over.
-func (r *Resource) acquire(p *Proc, d float64) error {
-	r.population.Adjust(1, r.env.now)
-	if r.waiters.len() == 0 && r.inUse < r.servers {
-		r.grant()
-		r.waitTime.Add(0)
-		p.Hold(d)
+func (r *Resource) Acquire(p *Proc) error {
+	if r.begin(p, 0) {
 		return nil
 	}
-	w := r.pool.get()
-	*w = resWaiter{r: r, p: p, arrived: r.env.now, d: d}
-	r.waiters.push(w)
-	p.waiter = w
 	if err := p.park(); err != nil {
 		r.dispatch() // our slot may now be grantable to someone behind us
 		return err
 	}
 	return nil
+}
+
+// begin joins p to the station and either takes a free server and starts
+// its hold of d, or queues FCFS for serve to do both. It reports whether
+// the hold is already over (empty or fused); otherwise p must not run
+// until its hold expiry or serve event.
+func (r *Resource) begin(p *Proc, d float64) bool {
+	r.population.Adjust(1, r.env.now)
+	if r.waiters.len() == 0 && r.inUse < r.servers {
+		r.grant()
+		r.waitTime.Add(0)
+		return r.env.hold(p, d)
+	}
+	w := r.pool.get()
+	*w = resWaiter{r: r, p: p, arrived: r.env.now, d: d}
+	r.waiters.push(w)
+	p.waiter = w
+	return false
+}
+
+// end finishes a visit that began at start: it records the residence and
+// releases the server.
+func (r *Resource) end(start float64) {
+	r.residence.Add(r.env.now - start)
+	r.Release()
 }
 
 // grant marks one more server busy.
@@ -135,8 +150,8 @@ func (r *Resource) dispatch() {
 
 // serve runs at the serve event of a granted waiter and does what the
 // process would have done on waking: record the wait, then start the hold.
-// The process is resumed only once the hold is over: here, if the hold is
-// empty or fused, or else at the hold's resume event.
+// The hold's end is handled like any visit's (see Env.visited): here, if
+// the hold is empty or fused, or else at the hold's expiry event.
 func (w *resWaiter) serve() {
 	r, p, d := w.r, w.p, w.d
 	e := r.env
@@ -144,25 +159,15 @@ func (w *resWaiter) serve() {
 	r.waitTime.Add(e.now - w.arrived)
 	r.pool.put(w)
 	if e.hold(p, d) {
-		e.resume(p, nil)
+		e.visited(p)
 	}
 }
 
-// Use acquires a server, holds it for service time d, and releases it.
-// The queue wait is interruptible; once service starts it runs to
-// completion. On interrupt, no service is performed.
-func (r *Resource) Use(p *Proc, d float64) error {
-	if d < 0 {
-		panic("sim: negative hold")
-	}
-	start := r.env.now
-	if err := r.acquire(p, d); err != nil {
-		return err
-	}
-	r.residence.Add(r.env.now - start)
-	r.Release()
-	return nil
-}
+// Use acquires a server, holds it for service time d, and releases it: a
+// visit chain of one (see Proc.Visits). The queue wait is interruptible;
+// once service starts it runs to completion. On interrupt, no service is
+// performed.
+func (r *Resource) Use(p *Proc, d float64) error { return p.visit(nil, r, d) }
 
 // Utilization returns the time-average fraction of servers busy over the
 // observation window, at time t.

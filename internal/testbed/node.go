@@ -227,10 +227,17 @@ func (n *node) wake(gid int64) {
 // factor while a degradation window is in effect. With no factor set the
 // time passes through bit-exact.
 func (n *node) cpuUse(p *sim.Proc, t float64) error {
+	r, t := n.cpuVisit(t)
+	return r.Use(p, t)
+}
+
+// cpuVisit returns the station and service time of one CPU burst of t at
+// this site, for a Use or a visit chain (see cpuUse).
+func (n *node) cpuVisit(t float64) (*sim.Resource, float64) {
 	if n.grayCPU > 1 {
 		t *= n.grayCPU
 	}
-	return n.cpu.Use(p, t)
+	return n.cpu, t
 }
 
 // costsFor returns the site's phase costs for kind k, panicking like

@@ -92,6 +92,9 @@ type System struct {
 	users    []*user
 	netBytes int64 // inter-site payload bytes, for load-aware delay models
 
+	// reqChains recycles request step machines (see reqChain).
+	reqChains []*reqChain
+
 	// Data-directory placement state (nil unless Config.Placement is set).
 	placement *placementState
 
