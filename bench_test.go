@@ -203,11 +203,18 @@ func BenchmarkSimulateMB8(b *testing.B) {
 			b.Fatal("simulation stalled")
 		}
 	}
-	// The kernel's work counts, from an untimed rerun: a fixed-seed run
-	// does the same work every iteration.
-	b.StopTimer()
 	e := opts.fill()
-	sys, err := testbed.New(w.w.TestbedConfig(e.Seed, e.Warmup, e.Duration))
+	reportKernelWork(b, w.w.TestbedConfig(e.Seed, e.Warmup, e.Duration), true)
+}
+
+// reportKernelWork reports the kernel's work counts for one fixed-seed
+// testbed run — the benchmark's run, or one cell of its sweep — from an
+// untimed run after the timed loop: a fixed-seed run does the same work
+// every iteration. With perEvent set, the run is all the timed loop did,
+// and its host time per dispatched event is reported too.
+func reportKernelWork(b *testing.B, cfg testbed.Config, perEvent bool) {
+	b.StopTimer()
+	sys, err := testbed.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -216,6 +223,9 @@ func BenchmarkSimulateMB8(b *testing.B) {
 	b.ReportMetric(float64(st.Events), "events/op")
 	b.ReportMetric(float64(st.Resumes), "resumes/op")
 	b.ReportMetric(float64(st.Coroutines), "coroutines/op")
+	if perEvent {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.Events), "ns/event")
+	}
 }
 
 // BenchmarkReplicatedSweep runs the replication availability sweep — R=1
@@ -241,6 +251,11 @@ func BenchmarkReplicatedSweep(b *testing.B) {
 	}
 	b.ReportMetric((pts[1].Availability-pts[0].Availability)*100, "avail-gain-pct")
 	b.ReportMetric(float64(pts[1].FailoverReads), "failover-reads")
+	// Work counts of the R=2 read-quorum cell.
+	wl := workload.MB4(8)
+	wl.Faults = &plan
+	wl.Replication = repl.Policy{Factor: 2, Read: repl.ReadQuorum}
+	reportKernelWork(b, wl.TestbedConfig(opts.Seed, opts.Warmup, opts.Duration), false)
 }
 
 // BenchmarkSimulateHourMB8 isolates the simulator: one simulated hour of
@@ -450,4 +465,11 @@ func BenchmarkCapacitySweep(b *testing.B) {
 	}
 	b.ReportMetric(cr.PeakCommittedTPS/cr.BottleneckBoundTPS*100, "peak-vs-bound-pct")
 	b.ReportMetric(cr.KneeLambdaTPS, "knee-tps")
+	// Work counts of an open run at the middle rate. The sweep's own cells
+	// offer the closed model's class mix and site split, which only the
+	// sweep computes; this run offers every kind evenly over both sites.
+	wl.Open = &testbed.OpenConfig{RatePerSec: 0.8}
+	wl.Users = nil
+	opts := benchOpts()
+	reportKernelWork(b, wl.TestbedConfig(opts.Seed, opts.Warmup, opts.Duration), false)
 }

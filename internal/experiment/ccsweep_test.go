@@ -107,4 +107,7 @@ func BenchmarkCCSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	// Work counts of the first cell: 2PL at the first contention level.
+	wl := ccSweepWorkload(protocols[0], contentions[0].Pattern, 1)
+	reportKernelWork(b, wl.TestbedConfig(opts.Seed, opts.Warmup, opts.Duration), false)
 }

@@ -111,10 +111,17 @@ func BenchmarkScaleSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// The kernel's work counts for the one cell, from an untimed rerun: a
-	// fixed-seed cell does the same work every iteration.
+	reportKernelWork(b, ScaleWorkload(placement.Locality, 16, 0.5, 0.5).TestbedConfig(opts.Seed, opts.Warmup, opts.Duration), true)
+}
+
+// reportKernelWork reports the kernel's work counts for one fixed-seed
+// cell of the benchmark's sweep, from an untimed run after the timed loop:
+// a fixed-seed cell does the same work every iteration. With perEvent set,
+// the cell is all the timed loop ran, and its host time per dispatched
+// event is reported too.
+func reportKernelWork(b *testing.B, cfg testbed.Config, perEvent bool) {
 	b.StopTimer()
-	sys, err := testbed.New(ScaleWorkload(placement.Locality, 16, 0.5, 0.5).TestbedConfig(opts.Seed, opts.Warmup, opts.Duration))
+	sys, err := testbed.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -123,4 +130,7 @@ func BenchmarkScaleSweep(b *testing.B) {
 	b.ReportMetric(float64(st.Events), "events/op")
 	b.ReportMetric(float64(st.Resumes), "resumes/op")
 	b.ReportMetric(float64(st.Coroutines), "coroutines/op")
+	if perEvent {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.Events), "ns/event")
+	}
 }
