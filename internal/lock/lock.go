@@ -378,9 +378,9 @@ func (m *Manager) Holds(txn TxnID, g GranuleID, want Mode) bool {
 // discipline decided the requester must abort (a detected cycle with the
 // requester as victim, or a wait-die death). The victims slice lists other
 // transactions the caller must abort: the non-requester victim of a
-// detected cycle, or the younger holders wounded under wound-wait. Abort
-// them with ReleaseAll (the testbed interrupts their processes), which may
-// in turn grant this request through onGrant.
+// detected cycle, or the younger holders and waiters wounded under
+// wound-wait. Abort them with ReleaseAll (the testbed interrupts their
+// processes), which may in turn grant this request through onGrant.
 func (m *Manager) Request(txn TxnID, g GranuleID, mode Mode) (out Outcome, victims []TxnID) {
 	m.stats.Requests++
 	e := m.table[g]
@@ -414,20 +414,27 @@ func (m *Manager) Request(txn TxnID, g GranuleID, mode Mode) (out Outcome, victi
 	return m.block(e, txn, g, mode, false)
 }
 
-// conflictingHolders returns the holders of e whose mode conflicts with a
-// request by txn in the given mode.
-func (m *Manager) conflictingHolders(e *entry, txn TxnID, mode Mode) []TxnID {
+// blockers returns the transactions a request by txn in the given mode
+// waits for once queued: the holders of e whose mode conflicts with it
+// and, for a request joining the tail of the queue, the conflicting
+// requests queued ahead of it, which FCFS grants first. An upgrade goes to
+// the head of the queue, so only holders block it.
+func (m *Manager) blockers(e *entry, txn TxnID, mode Mode, upgrade bool) []TxnID {
 	var out []TxnID
 	for _, gr := range e.granted {
-		if gr.txn == txn {
-			continue
-		}
-		if !compatible(mode, gr.mode) {
+		if gr.txn != txn && !compatible(mode, gr.mode) {
 			out = append(out, gr.txn)
 		}
 	}
+	if !upgrade {
+		for _, r := range e.queue {
+			if r.txn != txn && !compatible(mode, r.mode) {
+				out = append(out, r.txn)
+			}
+		}
+	}
 	slices.Sort(out)
-	return out
+	return slices.Compact(out)
 }
 
 // block handles a request that cannot be granted now, applying the
@@ -436,9 +443,9 @@ func (m *Manager) block(e *entry, txn TxnID, g GranuleID, mode Mode, upgrade boo
 	switch m.discipline {
 	case WaitDie:
 		// Non-preemptive: the requester may wait only if it is older than
-		// every conflicting holder; otherwise it dies.
+		// every transaction it would wait for; otherwise it dies.
 		myTS := m.timestampOf(txn)
-		for _, h := range m.conflictingHolders(e, txn, mode) {
+		for _, h := range m.blockers(e, txn, mode, upgrade) {
 			if myTS >= m.timestampOf(h) {
 				m.stats.Deadlocks++
 				return Deadlock, nil
@@ -446,18 +453,18 @@ func (m *Manager) block(e *entry, txn TxnID, g GranuleID, mode Mode, upgrade boo
 		}
 		return m.enqueue(e, txn, g, mode, upgrade)
 	case WoundWait:
-		// Preemptive: the requester wounds every younger conflicting
-		// holder, then waits.
+		// Preemptive: the requester wounds every younger transaction it
+		// would wait for, holder or queued ahead, then waits.
 		myTS := m.timestampOf(txn)
 		var wounds []TxnID
-		for _, h := range m.conflictingHolders(e, txn, mode) {
+		for _, h := range m.blockers(e, txn, mode, upgrade) {
 			if m.timestampOf(h) > myTS {
 				wounds = append(wounds, h)
 			}
 		}
 		if len(wounds) > 0 {
 			// Any wait-for cycle through this request runs through a
-			// wounded holder and dies with it, so skip the detection
+			// wounded transaction and dies with it, so skip the detection
 			// backstop and queue directly.
 			m.stats.Deadlocks += int64(len(wounds))
 			m.pushRequest(e, g, m.newRequest(txn, mode, upgrade))
@@ -515,7 +522,7 @@ func (m *Manager) grant(e *entry, txn TxnID, g GranuleID, mode Mode) {
 
 // enqueue queues the request and runs cycle detection — the primary
 // mechanism under Detect, and a liveness backstop under the prevention
-// disciplines (FCFS queue ordering can, rarely, arrange waits the
+// disciplines (an upgrade, which jumps the queue, can arrange waits the
 // timestamp rules did not foresee).
 func (m *Manager) enqueue(e *entry, txn TxnID, g GranuleID, mode Mode, upgrade bool) (Outcome, []TxnID) {
 	m.pushRequest(e, g, m.newRequest(txn, mode, upgrade))

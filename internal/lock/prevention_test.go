@@ -166,10 +166,11 @@ func TestPropertyPreventionLiveness(t *testing.T) {
 					}
 					if out == Deadlock {
 						// The timestamp rules never kill the oldest, but
-						// the FCFS queue adds wait edges the rules don't
-						// see; the detection backstop resolves those rare
-						// cycles by sacrificing the requester, whoever it
-						// is. Only wounds are asserted age-safe below.
+						// an upgrade jumps the FCFS queue and adds wait
+						// edges the rules don't see; the detection
+						// backstop resolves those rare cycles by
+						// sacrificing the requester, whoever it is. Only
+						// wounds are asserted age-safe below.
 						m.ReleaseAll(txn)
 						delete(blocked, txn)
 						m.RegisterTxn(txn, int64(txn)*10) // restart, same ts
@@ -197,5 +198,58 @@ func TestPropertyPreventionLiveness(t *testing.T) {
 func TestDisciplineString(t *testing.T) {
 	if Detect.String() != "detect" || WaitDie.String() != "wait-die" || WoundWait.String() != "wound-wait" {
 		t.Fatal("discipline names wrong")
+	}
+}
+
+// A request also waits for the conflicting requests queued ahead of it,
+// which FCFS grants first. Wound-wait must wound a younger one: were the
+// requester to wait for it unwounded, an old-to-young wait edge would form
+// that the timestamp rules exist to rule out, and with it a cycle across
+// sites that no local detector sees.
+func TestWoundWaitWoundsYoungerWaiterAhead(t *testing.T) {
+	m, _ := newPreventionMgr(WoundWait)
+	m.RegisterTxn(1, 100)
+	m.RegisterTxn(2, 200)
+	m.RegisterTxn(3, 300)
+	m.Request(1, 5, Exclusive)
+	if out, victims := m.Request(3, 5, Exclusive); out != Wait || len(victims) != 0 {
+		t.Fatalf("younger requester must wait without wounding: %v %v", out, victims)
+	}
+	out, victims := m.Request(2, 5, Exclusive)
+	if out != Wait || len(victims) != 1 || victims[0] != 3 {
+		t.Fatalf("out=%v victims=%v, want Wait wounding the younger waiter 3", out, victims)
+	}
+}
+
+// Wait-die's mirror image: a requester younger than a conflicting request
+// queued ahead of it dies, even when it is older than every holder.
+func TestWaitDieDiesBehindOlderWaiter(t *testing.T) {
+	m, _ := newPreventionMgr(WaitDie)
+	m.RegisterTxn(1, 100)
+	m.RegisterTxn(2, 200)
+	m.RegisterTxn(3, 300)
+	m.Request(3, 5, Exclusive)
+	if out, _ := m.Request(1, 5, Exclusive); out != Wait {
+		t.Fatalf("requester older than the holder must wait: %v", out)
+	}
+	if out, _ := m.Request(2, 5, Exclusive); out != Deadlock {
+		t.Fatalf("requester younger than waiter 1 must die: %v", out)
+	}
+	if m.Waiting(2) {
+		t.Fatal("dead requester still queued")
+	}
+}
+
+// Readers queued ahead do not block a reader, so they are not wounded.
+func TestWoundWaitSharedWaiterAheadNoWound(t *testing.T) {
+	m, _ := newPreventionMgr(WoundWait)
+	m.RegisterTxn(1, 100)
+	m.RegisterTxn(2, 200)
+	m.RegisterTxn(3, 300)
+	m.Request(2, 5, Exclusive)
+	m.Request(3, 5, Shared)
+	out, victims := m.Request(1, 5, Shared)
+	if out != Wait || len(victims) != 1 || victims[0] != 2 {
+		t.Fatalf("out=%v victims=%v, want only the writer 2 wounded", out, victims)
 	}
 }

@@ -357,3 +357,33 @@ func TestCCTraceInvariantsHoldForPrevention(t *testing.T) {
 		})
 	}
 }
+
+// TestPreventionRunsFullWindow is the regression test for two wedges of
+// the prevention disciplines. Each was a wait cycle across the two sites,
+// which no site's local detector sees:
+//   - a request queued behind a conflicting waiter the timestamp rule never
+//     compared it with: an old-to-young wait under wound-wait, a
+//     young-to-old one under wait-die;
+//   - a wounded transaction that began a lock wait before it noticed the
+//     wound, so nothing interrupted it while its wounder waited for it.
+//
+// Without either fix, 11 of these 20 runs drained their event queue with
+// every user parked; with only the first, 2 wound-wait runs still did.
+// Each must measure its full window.
+func TestPreventionRunsFullWindow(t *testing.T) {
+	for _, ccp := range []CCProtocol{CCWaitDie, CCWoundWait} {
+		for seed := uint64(1); seed <= 10; seed++ {
+			cfg := ccConfig(ccp, 8, seed)
+			cfg.Layout = storage.Layout{Granules: 200, RecordsPerGran: 6}
+			cfg.Warmup, cfg.Duration = 30_000, 330_000
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := sys.Run(); res.Window != cfg.Duration-cfg.Warmup {
+				t.Errorf("%v seed %d: window %.0f ms, want %.0f ms (the run wedged)",
+					ccp, seed, res.Window, cfg.Duration-cfg.Warmup)
+			}
+		}
+	}
+}
