@@ -22,10 +22,12 @@ test:
 # differential and shutdown with a grant pending), visit chains (the
 # Visits-versus-Use differential, and an interrupt, a shutdown and a panic
 # in Next mid-chain), and the seed corpora of FuzzKernelInterleave and
-# FuzzKernelInterleaveUse.
+# FuzzKernelInterleaveUse. TestKernelEquivalencePins covers the request
+# chain's in-chain accesses: the cc engines and lock-grant tracing run on
+# the kernel's stack as well as the process's.
 race:
 	$(GO) test -race \
-		-run 'TestParallelSweepSmoke|TestSweepsDeterministicAcrossWorkerCounts|TestRunGrid|TestFaultRunDeterministic|TestPrepareWindowCrashResolvesInDoubt|TestReplicatedRunDeterministic|TestCapacitySweepDeterministicAcrossWorkerCounts|TestOpenRunDeterministic|TestPartitionRunDeterministic|TestSharedFaultPlanNotMutated|TestCCSweepDeterministicAcrossWorkerCounts|TestScaleSweepDeterministicAcrossWorkerCounts|TestQueCCNoDeadlocksNoProbeTraffic|TestNoProbeStateOutsideDetection|TestCoroutineReuseSequential|TestDrainedRunLeavesNoGoroutines|TestShutdownRunsDefersOnReusedCoroutine|TestPanicCoroutineNotPooled|FuzzKernelInterleave|TestUseMatchesAcquireHoldRelease|TestShutdownUnwindsServedUse|TestInterruptBetweenGrantAndServe|FuzzKernelInterleaveUse|TestVisitsMatchUses|TestInterruptMidChain|TestShutdownMidChain|TestPanicInNext' \
+		-run 'TestParallelSweepSmoke|TestSweepsDeterministicAcrossWorkerCounts|TestRunGrid|TestFaultRunDeterministic|TestPrepareWindowCrashResolvesInDoubt|TestReplicatedRunDeterministic|TestCapacitySweepDeterministicAcrossWorkerCounts|TestOpenRunDeterministic|TestPartitionRunDeterministic|TestSharedFaultPlanNotMutated|TestCCSweepDeterministicAcrossWorkerCounts|TestScaleSweepDeterministicAcrossWorkerCounts|TestQueCCNoDeadlocksNoProbeTraffic|TestNoProbeStateOutsideDetection|TestCoroutineReuseSequential|TestDrainedRunLeavesNoGoroutines|TestShutdownRunsDefersOnReusedCoroutine|TestPanicCoroutineNotPooled|FuzzKernelInterleave|TestUseMatchesAcquireHoldRelease|TestShutdownUnwindsServedUse|TestInterruptBetweenGrantAndServe|FuzzKernelInterleaveUse|TestVisitsMatchUses|TestInterruptMidChain|TestShutdownMidChain|TestPanicInNext|TestKernelEquivalencePins' \
 		./internal/experiment/ ./internal/testbed/ ./internal/sim/
 
 # perfbench/ is its own module, so ./... skips it; vetting it compiles the
