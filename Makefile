@@ -21,13 +21,15 @@ test:
 # code, the kernel-served resource grants (the Use-versus-Acquire+Hold+Release
 # differential and shutdown with a grant pending), visit chains (the
 # Visits-versus-Use differential, and an interrupt, a shutdown and a panic
-# in Next mid-chain), and the seed corpora of FuzzKernelInterleave and
-# FuzzKernelInterleaveUse. TestKernelEquivalencePins covers the request
-# chain's in-chain accesses: the cc engines and lock-grant tracing run on
-# the kernel's stack as well as the process's.
+# in Next mid-chain), seize visits (the seize-chain-versus-Acquire+Use+
+# Release differential and an interrupt while queued to seize), and the
+# seed corpora of FuzzKernelInterleave and FuzzKernelInterleaveUse.
+# TestKernelEquivalencePins covers the request chain's in-chain accesses,
+# TM steps and hops: the cc engines, lock-grant tracing and message
+# accounting run on the kernel's stack as well as the process's.
 race:
 	$(GO) test -race \
-		-run 'TestParallelSweepSmoke|TestSweepsDeterministicAcrossWorkerCounts|TestRunGrid|TestFaultRunDeterministic|TestPrepareWindowCrashResolvesInDoubt|TestReplicatedRunDeterministic|TestCapacitySweepDeterministicAcrossWorkerCounts|TestOpenRunDeterministic|TestPartitionRunDeterministic|TestSharedFaultPlanNotMutated|TestCCSweepDeterministicAcrossWorkerCounts|TestScaleSweepDeterministicAcrossWorkerCounts|TestQueCCNoDeadlocksNoProbeTraffic|TestNoProbeStateOutsideDetection|TestCoroutineReuseSequential|TestDrainedRunLeavesNoGoroutines|TestShutdownRunsDefersOnReusedCoroutine|TestPanicCoroutineNotPooled|FuzzKernelInterleave|TestUseMatchesAcquireHoldRelease|TestShutdownUnwindsServedUse|TestInterruptBetweenGrantAndServe|FuzzKernelInterleaveUse|TestVisitsMatchUses|TestInterruptMidChain|TestShutdownMidChain|TestPanicInNext|TestKernelEquivalencePins' \
+		-run 'TestParallelSweepSmoke|TestSweepsDeterministicAcrossWorkerCounts|TestRunGrid|TestFaultRunDeterministic|TestPrepareWindowCrashResolvesInDoubt|TestReplicatedRunDeterministic|TestCapacitySweepDeterministicAcrossWorkerCounts|TestOpenRunDeterministic|TestPartitionRunDeterministic|TestSharedFaultPlanNotMutated|TestCCSweepDeterministicAcrossWorkerCounts|TestScaleSweepDeterministicAcrossWorkerCounts|TestQueCCNoDeadlocksNoProbeTraffic|TestNoProbeStateOutsideDetection|TestCoroutineReuseSequential|TestDrainedRunLeavesNoGoroutines|TestShutdownRunsDefersOnReusedCoroutine|TestPanicCoroutineNotPooled|FuzzKernelInterleave|TestUseMatchesAcquireHoldRelease|TestShutdownUnwindsServedUse|TestInterruptBetweenGrantAndServe|FuzzKernelInterleaveUse|TestVisitsMatchUses|TestInterruptMidChain|TestShutdownMidChain|TestPanicInNext|TestSeizeChainMatchesAcquireUseRelease|TestInterruptWhileSeizing|TestKernelEquivalencePins' \
 		./internal/experiment/ ./internal/testbed/ ./internal/sim/
 
 # perfbench/ is its own module, so ./... skips it; vetting it compiles the

@@ -305,13 +305,15 @@ type coro struct {
 	yield func(struct{}) bool
 
 	// The process's station visits (see Proc.Visits): chain supplies the
-	// visits after the current one (nil for a single Use), at is the
-	// station of the visit in progress (nil outside a visit) and start
-	// the time it began. fault is a panic raised by the chain's Next on
-	// the kernel's stack, handed to the process to re-raise.
+	// visits after the current one (nil for a single Use or Acquire), at
+	// is the station of the visit in progress (nil outside a visit),
+	// start the time it began and seize whether it keeps its server.
+	// fault is a panic raised by the chain's Next on the kernel's stack,
+	// handed to the process to re-raise.
 	chain Chain
 	at    *Resource
 	start float64
+	seize bool
 	fault any
 }
 

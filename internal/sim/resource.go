@@ -43,7 +43,7 @@ type resWaiter struct {
 	r       *Resource
 	p       *Proc
 	arrived float64
-	d       float64 // service time held once granted: 0 for Acquire
+	d       float64 // service time held once granted: 0 for a Seize
 	removed bool
 }
 
@@ -69,19 +69,10 @@ func NewResource(env *Env, name string, servers int) *Resource {
 // Name returns the station name.
 func (r *Resource) Name() string { return r.name }
 
-// Acquire obtains one server, waiting FCFS if none is free. The wait is
-// interruptible; on interrupt the process leaves the queue and the error is
-// returned.
-func (r *Resource) Acquire(p *Proc) error {
-	if r.begin(p, 0) {
-		return nil
-	}
-	if err := p.park(); err != nil {
-		r.dispatch() // our slot may now be grantable to someone behind us
-		return err
-	}
-	return nil
-}
+// Acquire obtains one server, waiting FCFS if none is free: a Seize visit
+// (see Proc.Visits). The wait is interruptible; on interrupt the process
+// leaves the queue and the error is returned.
+func (r *Resource) Acquire(p *Proc) error { return p.visit(nil, r, Seize) }
 
 // begin joins p to the station and either takes a free server and starts
 // its hold of d, or queues FCFS for serve to do both. It reports whether
@@ -99,13 +90,6 @@ func (r *Resource) begin(p *Proc, d float64) bool {
 	r.waiters.push(w)
 	p.waiter = w
 	return false
-}
-
-// end finishes a visit that began at start: it records the residence and
-// releases the server.
-func (r *Resource) end(start float64) {
-	r.residence.Add(r.env.now - start)
-	r.Release()
 }
 
 // grant marks one more server busy.
