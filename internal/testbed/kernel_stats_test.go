@@ -19,8 +19,10 @@ import (
 // chains removed the resume after every DM, LR, DMIO and granule-I/O visit
 // of a request that did not complete in place; granting accesses inside the
 // chain removed the resume at every access granted at once with no
-// victims). The served count is the resource waits: queued grants the
-// kernel served.
+// victims; running the request's whole message path as the chain removed
+// the resumes after its U burst, after every TM step's grant and CPU
+// burst, and after every hop on the request path). The served count is
+// the resource waits: queued grants the kernel served.
 func TestKernelWorkPins(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -32,8 +34,8 @@ func TestKernelWorkPins(t *testing.T) {
 		resumes int64
 		served  int64
 	}{
-		{"MB4(8)", workload.MB4(8), 30_000, 330_000, 71339, 25122, 13999, 28226},
-		{"scale-16", experiment.ScaleWorkload(placement.Locality, 16, 0.5, 0.5), 5_000, 60_000, 74174, 4233, 32564, 15171},
+		{"MB4(8)", workload.MB4(8), 30_000, 330_000, 71339, 25122, 6142, 28226},
+		{"scale-16", experiment.ScaleWorkload(placement.Locality, 16, 0.5, 0.5), 5_000, 60_000, 74174, 4233, 17070, 15171},
 	}
 	for _, c := range cases {
 		sys, err := testbed.New(c.wl.TestbedConfig(1, c.warmup, c.dur))

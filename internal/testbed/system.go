@@ -3,6 +3,7 @@ package testbed
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"carat/internal/cc"
 	"carat/internal/comm"
@@ -94,6 +95,9 @@ type System struct {
 
 	// reqChains recycles request step machines (see reqChain).
 	reqChains []*reqChain
+	// wire is the infinite-server delay station a request chain visits for
+	// each of its network hops with a positive delay.
+	wire *sim.Resource
 
 	// Data-directory placement state (nil unless Config.Placement is set).
 	placement *placementState
@@ -157,6 +161,7 @@ func New(cfg Config) (*System, error) {
 		reg:    make(map[int64]*txnState),
 		ccCaps: cfg.Concurrency.paradigm().Capabilities(),
 	}
+	sys.wire = sim.NewResource(sys.env, "wire", math.MaxInt)
 	if pc := cfg.Placement; pc != nil {
 		dir, err := placement.NewDirectory(pc.Strategy, len(cfg.Nodes), cfg.Layout.Granules)
 		if err != nil {
