@@ -111,3 +111,27 @@ func BenchmarkCCSweep(b *testing.B) {
 	wl := ccSweepWorkload(protocols[0], contentions[0].Pattern, 1)
 	reportKernelWork(b, wl.TestbedConfig(opts.Seed, opts.Warmup, opts.Duration), false)
 }
+
+// TestCCSweepCellsRunFullWindow runs the nine 2PL-detect cells of the CC
+// sweep (uniform, hotspot-80/20 and zipf-0.99 access at 8, 16 and 32
+// users) as `caratsim -ccsweep 1,2,4 -minutes 30` does — a two-minute
+// warm-up and a 30-minute window, seed 1 — and requires each to measure
+// its full window. Locking is the only paradigm of the sweep whose waits
+// can cycle, and zipf-0.99 at 16 users is its thrashing cell (0.18 TPS,
+// abort rate 0.88): a wedge there drains the event queue early and
+// prints a short-window row that reads as a slow one.
+func TestCCSweepCellsRunFullWindow(t *testing.T) {
+	const warmup, duration = 2 * 60_000.0, 32 * 60_000.0
+	for _, cont := range DefaultCCContentions() {
+		for _, m := range []int{1, 2, 4} {
+			wl := ccSweepWorkload(testbed.CC2PL, cont.Pattern, m)
+			sys, err := testbed.New(wl.TestbedConfig(1, warmup, duration))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := sys.Run(); res.Window != duration-warmup {
+				t.Errorf("%s/%d users: window %.0f ms, want %.0f ms (the run wedged)", cont.Name, 8*m, res.Window, duration-warmup)
+			}
+		}
+	}
+}
