@@ -45,7 +45,6 @@ func (p *Proc) visit(chain Chain, r *Resource, d float64) error {
 		return nil
 	}
 	if err := p.park(); err != nil {
-		c.at.dispatch() // our slot may now be grantable to someone behind us
 		c.at = nil
 		return err
 	}
