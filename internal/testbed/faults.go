@@ -477,19 +477,19 @@ func (s *System) restartSite(id NodeID) {
 		_ = losers
 		for _, g := range undo {
 			g := g
-			mustUse(nd, p, func() error { return nd.cpuUse(p, costs.DMIOCPU) })
-			mustUse(nd, p, func() error { return nd.dbDiskFor(g).Do(p, disk.Write, g) })
+			must(nd, nd.cpuUse(p, costs.DMIOCPU))
+			must(nd, nd.dbDiskFor(g).Do(p, disk.Write, g))
 		}
 		for _, gid := range inDoubt {
 			commit := s.coordinatorCommitted(gid)
 			if commit {
-				mustUse(nd, p, func() error { return nd.logDisk.Do(p, disk.ForceWrite, 0) })
+				must(nd, nd.logDisk.Do(p, disk.ForceWrite, 0))
 				nd.fault.InDoubtCommitted++
 			} else {
 				k := nd.journal.BeforeImageCount(gid)
 				for i := 0; i < k; i++ {
-					mustUse(nd, p, func() error { return nd.cpuUse(p, costs.DMIOCPU) })
-					mustUse(nd, p, func() error { return nd.dbDiskFor(0).Do(p, disk.Write, 0) })
+					must(nd, nd.cpuUse(p, costs.DMIOCPU))
+					must(nd, nd.dbDiskFor(0).Do(p, disk.Write, 0))
 				}
 				nd.fault.InDoubtAborted++
 			}

@@ -194,7 +194,7 @@ func (s *System) terminateQueued(p *sim.Proc, nd *node, entries []termEntry) {
 		}
 		if e.release {
 			// A failed-over read's locks: no journal state to settle.
-			mustUse(nd, p, func() error { return nd.cpuUse(p, costs.UnlockCPU) })
+			must(nd, nd.cpuUse(p, costs.UnlockCPU))
 			nd.releaseTxn(e.gid)
 			s.trace(e.gid, KindNone, nd.id, EvRelease, -1)
 			continue
@@ -208,7 +208,7 @@ func (s *System) terminateQueued(p *sim.Proc, nd *node, entries []termEntry) {
 		}
 		if s.coordinatorCommitted(e.gid) {
 			if prepared {
-				mustUse(nd, p, func() error { return nd.logDisk.Do(p, disk.ForceWrite, 0) })
+				must(nd, nd.logDisk.Do(p, disk.ForceWrite, 0))
 				nd.fault.InDoubtCommitted++
 				nd.journal.ResolveInDoubt(e.gid, true, nd.store)
 			} else {
@@ -220,8 +220,8 @@ func (s *System) terminateQueued(p *sim.Proc, nd *node, entries []termEntry) {
 		} else if prepared {
 			k := nd.journal.BeforeImageCount(e.gid)
 			for i := 0; i < k; i++ {
-				mustUse(nd, p, func() error { return nd.cpuUse(p, costs.DMIOCPU) })
-				mustUse(nd, p, func() error { return nd.dbDiskFor(0).Do(p, disk.Write, 0) })
+				must(nd, nd.cpuUse(p, costs.DMIOCPU))
+				must(nd, nd.dbDiskFor(0).Do(p, disk.Write, 0))
 			}
 			nd.fault.InDoubtAborted++
 			nd.journal.ResolveInDoubt(e.gid, false, nd.store)
@@ -229,11 +229,11 @@ func (s *System) terminateQueued(p *sim.Proc, nd *node, entries []termEntry) {
 			// Never prepared and no coordinator commit: presumed abort.
 			undo := nd.journal.Rollback(e.gid, nd.store)
 			for _, g := range undo {
-				mustUse(nd, p, func() error { return nd.cpuUse(p, costs.DMIOCPU) })
-				mustUse(nd, p, func() error { return nd.dbDiskFor(g).Do(p, disk.Write, g) })
+				must(nd, nd.cpuUse(p, costs.DMIOCPU))
+				must(nd, nd.dbDiskFor(g).Do(p, disk.Write, g))
 			}
 		}
-		mustUse(nd, p, func() error { return nd.cpuUse(p, costs.UnlockCPU) })
+		must(nd, nd.cpuUse(p, costs.UnlockCPU))
 		nd.releaseTxn(e.gid)
 		s.trace(e.gid, KindNone, nd.id, EvRelease, -1)
 	}

@@ -133,7 +133,7 @@ func (s *System) drainReplicaApplies(p *sim.Proc, nd *node) {
 		// overtaking the older queued write with a direct one.
 		a := s.repl.pending[nd.id][0]
 		nd.journal.LogReplicaApply(a.gid, a.block)
-		mustUse(nd, p, func() error { return nd.logDisk.Do(p, disk.LogWrite, 0) })
+		must(nd, nd.logDisk.Do(p, disk.LogWrite, 0))
 		if (nd.down && !downAtStart) || s.repl.drainer[nd.id] != p {
 			// The site crashed while the log write held, or restart
 			// recovery has already claimed the queue: leave the entry and
@@ -231,7 +231,7 @@ func (u *user) propagateReplicas(p *sim.Proc, st *txnState) {
 				continue
 			}
 			nd.journal.LogReplicaApply(st.gid, blk)
-			mustUse(nd, p, func() error { return nd.logDisk.Do(p, disk.LogWrite, 0) })
+			must(nd, nd.logDisk.Do(p, disk.LogWrite, 0))
 			nd.replVersion[blk] = st.gid
 			nd.replOpen.ReplicaApplies++
 			sys.trace(st.gid, st.kind, nd.id, EvReplicaApply, blk)
@@ -277,7 +277,7 @@ func (u *user) failoverRead(p *sim.Proc, st *txnState, owner *node, grans []int)
 			st.doomed = true
 			return cause
 		}
-		mustUse(serve, p, func() error { return serve.tmStep(p, rcosts.TMCPU) })
+		must(serve, serve.tmStep(p, rcosts.TMCPU))
 		// The request's DM, LR, access, DMIO and I/O steps for this one
 		// granule, with the shared lock under the replica namespace.
 		c := u.chain(st, serve, false)
@@ -325,7 +325,7 @@ func (u *user) quorumRead(p *sim.Proc, st *txnState, serve *node, owner NodeID, 
 		if nd.down || !sys.reachable(serve.id, nd.id) {
 			continue
 		}
-		mustUse(nd, p, func() error { return nd.tmStep(p, rcosts.TMCPU) })
+		must(nd, nd.tmStep(p, rcosts.TMCPU))
 		p.Hold(sys.hop(nd.id, serve.id, controlMsgBytes))
 		serve.replOpen.QuorumReads++
 		need--
@@ -380,7 +380,7 @@ func (u *user) releaseReplicaReads(p *sim.Proc, st *txnState) {
 			sys.queueTermination(fs.id, st.gid, true)
 			continue
 		}
-		mustUse(fs, p, func() error { return fs.cpuUse(p, costs.UnlockCPU) })
+		must(fs, fs.cpuUse(p, costs.UnlockCPU))
 		fs.releaseTxn(st.gid)
 		sys.trace(st.gid, u.spec.Kind, fs.id, EvRelease, -1)
 	}

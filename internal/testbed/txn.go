@@ -269,7 +269,7 @@ func (u *user) attempt(p *sim.Proc) attemptOutcome {
 	dmHeld := []*node{home}
 	foRemote := make([]bool, len(remotes))
 	mustAcquire(home.dmPool, p)
-	mustUse(home, p, func() error { return home.tmStep(p, costs.InitCPU) })
+	must(home, home.tmStep(p, costs.InitCPU))
 	for i, remote := range remotes {
 		if sys.ccCaps.Deterministic && ccSkip[i] {
 			// The failover decision was made at plan time (no claims were
@@ -300,7 +300,7 @@ func (u *user) attempt(p *sim.Proc) attemptOutcome {
 		}
 		rcosts := remote.costsFor(kind)
 		p.Hold(sys.hop(home.id, remote.id, controlMsgBytes))
-		mustUse(remote, p, func() error { return remote.tmStep(p, rcosts.TMCPU) })
+		must(remote, remote.tmStep(p, rcosts.TMCPU))
 		mustAcquire(remote.dmPool, p)
 		dmHeld = append(dmHeld, remote)
 		p.Hold(sys.hop(remote.id, home.id, controlMsgBytes))
@@ -344,7 +344,7 @@ func (u *user) attempt(p *sim.Proc) attemptOutcome {
 		// --- Commit: TEND through the TM, then validation (OCC only) and
 		// the commit protocol. ---
 		st.committing = true
-		mustUse(home, p, func() error { return home.tmStep(p, costs.TMCPU) })
+		must(home, home.tmStep(p, costs.TMCPU))
 		committed := false
 		// Two-phase commit coordinates the slaves actually holding work —
 		// under read failover a down remote never joined dmHeld.
@@ -1116,18 +1116,18 @@ func (u *user) rollback(p *sim.Proc, st *txnState, participants []*node) {
 		costs := nd.costsFor(u.spec.Kind)
 		if i > 0 {
 			p.Hold(sys.hop(home.id, nd.id, controlMsgBytes))
-			mustUse(nd, p, func() error { return nd.tmStep(p, costs.TMCPU) })
+			must(nd, nd.tmStep(p, costs.TMCPU))
 		}
 		st.activeNode = nd.id
 		sys.trace(st.gid, u.spec.Kind, nd.id, EvRollback, -1)
-		mustUse(nd, p, func() error { return nd.cpuUse(p, costs.AbortCPU) })
+		must(nd, nd.cpuUse(p, costs.AbortCPU))
 		undo := nd.journal.Rollback(st.gid, nd.store)
 		for _, g := range undo {
 			g := g
-			mustUse(nd, p, func() error { return nd.cpuUse(p, costs.DMIOCPU) })
-			mustUse(nd, p, func() error { return nd.dbDiskFor(g).Do(p, disk.Write, g) })
+			must(nd, nd.cpuUse(p, costs.DMIOCPU))
+			must(nd, nd.dbDiskFor(g).Do(p, disk.Write, g))
 		}
-		mustUse(nd, p, func() error { return nd.cpuUse(p, costs.UnlockCPU) })
+		must(nd, nd.cpuUse(p, costs.UnlockCPU))
 		nd.releaseTxn(st.gid)
 		sys.trace(st.gid, u.spec.Kind, nd.id, EvRelease, -1)
 		if nd.detector != nil {
@@ -1148,9 +1148,9 @@ func (u *user) commitLocal(p *sim.Proc, st *txnState, home *node, costs PhaseCos
 	if st.doomed || home.down {
 		return false
 	}
-	mustUse(home, p, func() error { return home.cpuUse(p, costs.CommitCPU) })
+	must(home, home.cpuUse(p, costs.CommitCPU))
 	for i := 0; i < costs.CommitIOs; i++ {
-		mustUse(home, p, func() error { return home.logDisk.Do(p, disk.ForceWrite, 0) })
+		must(home, home.logDisk.Do(p, disk.ForceWrite, 0))
 	}
 	if st.doomed || home.down {
 		return false
@@ -1159,7 +1159,7 @@ func (u *user) commitLocal(p *sim.Proc, st *txnState, home *node, costs PhaseCos
 	home.journal.Force(rec.LSN)
 	u.sys.trace(st.gid, u.spec.Kind, home.id, EvForceCommit, -1)
 	u.propagateReplicas(p, st)
-	mustUse(home, p, func() error { return home.cpuUse(p, costs.UnlockCPU) })
+	must(home, home.cpuUse(p, costs.UnlockCPU))
 	home.releaseTxn(st.gid)
 	u.sys.trace(st.gid, u.spec.Kind, home.id, EvRelease, -1)
 	return true
@@ -1182,7 +1182,7 @@ func (u *user) twoPhaseCommit(p *sim.Proc, st *txnState, home *node, slaves []*n
 	costs := home.costsFor(kind)
 
 	// TC: coordinator builds and sends PREPARE.
-	mustUse(home, p, func() error { return home.cpuUse(p, costs.CommitCPU) })
+	must(home, home.cpuUse(p, costs.CommitCPU))
 
 	// Phase 1: PREPARE processed in parallel at the slaves.
 	if err := u.fanOutPrepare(p, st, home, slaves); err != nil {
@@ -1201,7 +1201,7 @@ func (u *user) twoPhaseCommit(p *sim.Proc, st *txnState, home *node, slaves []*n
 
 	// The commit point: force-write the commit record at the coordinator.
 	for i := 0; i < costs.CommitIOs; i++ {
-		mustUse(home, p, func() error { return home.logDisk.Do(p, disk.ForceWrite, 0) })
+		must(home, home.logDisk.Do(p, disk.ForceWrite, 0))
 	}
 	if st.doomed || home.down {
 		return false
@@ -1216,7 +1216,7 @@ func (u *user) twoPhaseCommit(p *sim.Proc, st *txnState, home *node, slaves []*n
 	u.fanOutCommit(p, st, home, slaves)
 
 	// UL at the coordinator.
-	mustUse(home, p, func() error { return home.cpuUse(p, costs.UnlockCPU) })
+	must(home, home.cpuUse(p, costs.UnlockCPU))
 	home.releaseTxn(st.gid)
 	sys.trace(st.gid, kind, home.id, EvRelease, -1)
 	return true
@@ -1246,8 +1246,8 @@ func (u *user) fanOutPrepare(p *sim.Proc, st *txnState, home *node, slaves []*no
 				done[i].Trigger(errPartitioned)
 				return
 			}
-			mustUse(nd, hp, func() error { return nd.tmStep(hp, rcosts.TMCPU) })
-			mustUse(nd, hp, func() error { return nd.cpuUse(hp, rcosts.CommitCPU) })
+			must(nd, nd.tmStep(hp, rcosts.TMCPU))
+			must(nd, nd.cpuUse(hp, rcosts.CommitCPU))
 			if nd.down || st.doomed {
 				done[i].Trigger(errSiteCrash)
 				return
@@ -1267,7 +1267,7 @@ func (u *user) fanOutPrepare(p *sim.Proc, st *txnState, home *node, slaves []*no
 				nd.journal.Prepare(st.gid)
 			}
 			for j := 0; j < sys.cfg.Params.SlaveCommitIOs[kind]; j++ {
-				mustUse(nd, hp, func() error { return nd.logDisk.Do(hp, disk.ForceWrite, 0) })
+				must(nd, nd.logDisk.Do(hp, disk.ForceWrite, 0))
 			}
 			if nd.down {
 				done[i].Trigger(errSiteCrash)
@@ -1354,14 +1354,14 @@ func (u *user) fanOutCommit(p *sim.Proc, st *txnState, home *node, slaves []*nod
 				done[i].Trigger(nil)
 				return
 			}
-			mustUse(nd, hp, func() error { return nd.tmStep(hp, rcosts.TMCPU) })
+			must(nd, nd.tmStep(hp, rcosts.TMCPU))
 			if nd.down {
 				done[i].Trigger(nil)
 				return
 			}
 			sys.trace(st.gid, kind, nd.id, EvSlaveCommit, -1)
 			nd.journal.Commit(st.gid)
-			mustUse(nd, hp, func() error { return nd.cpuUse(hp, rcosts.UnlockCPU) })
+			must(nd, nd.cpuUse(hp, rcosts.UnlockCPU))
 			nd.releaseTxn(st.gid)
 			sys.trace(st.gid, kind, nd.id, EvRelease, -1)
 			hp.Hold(sys.hop(nd.id, home.id, controlMsgBytes))
@@ -1383,9 +1383,9 @@ func mustAcquire(r *sim.Resource, p *sim.Proc) {
 	}
 }
 
-// mustUse runs a service step that must never be interrupted.
-func mustUse(nd *node, _ *sim.Proc, fn func() error) {
-	if err := fn(); err != nil {
+// must panics on the error of a service step at nd that is never interrupted.
+func must(nd *node, err error) {
+	if err != nil {
 		panic(fmt.Sprintf("testbed: unexpected interrupt at node %d: %v", nd.id, err))
 	}
 }
