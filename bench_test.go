@@ -240,7 +240,7 @@ func BenchmarkReplicatedSweep(b *testing.B) {
 	// the recorded baselines measured.
 	opts := benchOpts()
 	opts.Workers = 1
-	var pts []experiment.ReplicationPoint
+	var pts []experiment.FaultPoint
 	for i := 0; i < b.N; i++ {
 		var err error
 		pts, err = experiment.ReplicationSweep(workload.MB4(8), []int{1, 2},
@@ -249,7 +249,7 @@ func BenchmarkReplicatedSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric((pts[1].Availability-pts[0].Availability)*100, "avail-gain-pct")
+	b.ReportMetric((pts[1].DegradedGoodputFrac-pts[0].DegradedGoodputFrac)*100, "avail-gain-pct")
 	b.ReportMetric(float64(pts[1].FailoverReads), "failover-reads")
 	// Work counts of the R=2 read-quorum cell.
 	wl := workload.MB4(8)

@@ -38,8 +38,8 @@ func TestFailureSweepSmoke(t *testing.T) {
 		t.Fatalf("points = %d, want 3", len(pts))
 	}
 	base := pts[0]
-	if base.MTTFMS != 0 || base.Crashes != 0 || base.Availability != 1 {
-		t.Fatalf("baseline point must be fault-free and fully available, got %+v", base)
+	if base.MTTFMS != 0 || base.Crashes != 0 || base.Uptime != 1 {
+		t.Fatalf("baseline point must be fault-free with full uptime, got %+v", base)
 	}
 	if base.TxnPerSec <= 0 {
 		t.Fatalf("baseline goodput = %v, want > 0", base.TxnPerSec)
@@ -48,8 +48,8 @@ func TestFailureSweepSmoke(t *testing.T) {
 		if p.Crashes == 0 {
 			t.Fatalf("mttf=%v: no crashes in the window", p.MTTFMS)
 		}
-		if p.Availability >= 1 || p.Availability <= 0 {
-			t.Fatalf("mttf=%v: availability = %v, want in (0, 1)", p.MTTFMS, p.Availability)
+		if p.Uptime >= 1 || p.Uptime <= 0 {
+			t.Fatalf("mttf=%v: uptime = %v, want in (0, 1)", p.MTTFMS, p.Uptime)
 		}
 		if p.TxnPerSec <= 0 || p.TxnPerSec >= base.TxnPerSec {
 			t.Fatalf("mttf=%v: goodput %v, want positive and below the baseline %v",
@@ -65,7 +65,7 @@ func TestFailureSweepDeterministic(t *testing.T) {
 	opts.Warmup = 10_000
 	opts.Duration = 120_000
 	plan := testbed.FaultPlan{CrashMTTRMS: 2_000, LockWaitTimeoutMS: 8_000}
-	run := func() []FailurePoint {
+	run := func() []FaultPoint {
 		pts, err := FailureSweep(workload.MB4(8), []float64{0, 30_000}, plan, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -42,13 +42,13 @@ func TestPartitionSweepSmoke(t *testing.T) {
 	}
 	for _, p := range pts {
 		if p.DurationMS == 0 {
-			if p.GoodputFrac != 1 || p.PartitionMS != 0 || p.PartitionShed != 0 {
+			if p.GoodputFrac != 1 || p.Results.PartitionMS != 0 || p.PartitionShed != 0 {
 				t.Fatalf("baseline point not partition-free: %+v", p)
 			}
 			continue
 		}
-		if p.PartitionMS != p.DurationMS {
-			t.Fatalf("R=%d dur=%v: severed %.0fms, want the full duration", p.Factor, p.DurationMS, p.PartitionMS)
+		if p.Results.PartitionMS != p.DurationMS {
+			t.Fatalf("R=%d dur=%v: severed %.0fms, want the full duration", p.Factor, p.DurationMS, p.Results.PartitionMS)
 		}
 		// MB4 is mostly local work, so the goodput dip is small — assert
 		// the fraction is sane rather than a particular cliff shape.

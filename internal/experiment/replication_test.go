@@ -46,12 +46,12 @@ func TestReplicationSweepAvailability(t *testing.T) {
 	if rep2.FailoverReads == 0 {
 		t.Fatal("R=2 point served no failover reads during the outage")
 	}
-	if base.Availability <= 0 || base.Availability >= 1 {
-		t.Fatalf("baseline availability = %v, want in (0, 1)", base.Availability)
+	if base.DegradedGoodputFrac <= 0 || base.DegradedGoodputFrac >= 1 {
+		t.Fatalf("baseline degraded-goodput fraction = %v, want in (0, 1)", base.DegradedGoodputFrac)
 	}
-	if rep2.Availability <= base.Availability {
-		t.Fatalf("availability: R=2 %v is not strictly above the R=1 baseline %v",
-			rep2.Availability, base.Availability)
+	if rep2.DegradedGoodputFrac <= base.DegradedGoodputFrac {
+		t.Fatalf("degraded-goodput fraction: R=2 %v is not strictly above the R=1 baseline %v",
+			rep2.DegradedGoodputFrac, base.DegradedGoodputFrac)
 	}
 	for _, p := range pts {
 		if p.TxnPerSec <= 0 || p.MeanCommitLatencyMS <= 0 {
