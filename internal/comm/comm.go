@@ -1,21 +1,16 @@
-// Package comm models the inter-site network of the CARAT testbed: message
-// passing between TM servers over a shared 10 Mb/s Ethernet.
+// Package comm models the inter-site network of the CARAT testbed: the
+// latency of a message between TM servers over a shared 10 Mb/s Ethernet,
+// and which sites a network partition leaves able to reach each other.
 //
-// The network delivers each message into the destination node's inbox after
-// a delay drawn from a pluggable DelayModel. The paper's two-node
-// experiments measured a negligible communication delay α and dropped it
-// from the computation; the default model here is therefore zero delay, but
-// an Almes–Lazowska-style Ethernet contention model [ALME79] is provided
-// for configurations where α matters (many nodes, long messages).
+// The testbed charges each inter-site message a delay drawn from a
+// pluggable DelayModel. The paper's two-node experiments measured a
+// negligible communication delay α and dropped it from the computation;
+// the default model here is therefore zero delay, but an
+// Almes–Lazowska-style Ethernet contention model [ALME79] is provided for
+// configurations where α matters (many nodes, long messages).
 package comm
 
-import (
-	"fmt"
-	"math"
-
-	"carat/internal/sim"
-	"carat/internal/stats"
-)
+import "math"
 
 // NodeID identifies a site.
 type NodeID int
@@ -25,9 +20,6 @@ type DelayModel interface {
 	// Delay returns the network delay for a message of the given size,
 	// given the current network utilization in [0, 1).
 	Delay(bytes int, utilization float64) float64
-	// MeanDelay returns the expected delay at the utilization, used to
-	// parameterize α in the analytical model.
-	MeanDelay(bytes int, utilization float64) float64
 }
 
 // ZeroDelay delivers instantly — the paper's operating point for two nodes.
@@ -36,17 +28,11 @@ type ZeroDelay struct{}
 // Delay implements DelayModel.
 func (ZeroDelay) Delay(int, float64) float64 { return 0 }
 
-// MeanDelay implements DelayModel.
-func (ZeroDelay) MeanDelay(int, float64) float64 { return 0 }
-
 // FixedDelay delivers every message after a constant latency.
 type FixedDelay struct{ D float64 }
 
 // Delay implements DelayModel.
 func (f FixedDelay) Delay(int, float64) float64 { return f.D }
-
-// MeanDelay implements DelayModel.
-func (f FixedDelay) MeanDelay(int, float64) float64 { return f.D }
 
 // Ethernet approximates a CSMA/CD channel following the flavor of the
 // Almes–Lazowska Ethernet model: the raw transmission time is inflated by
@@ -122,8 +108,9 @@ func (e Ethernet) Breakdown(bytes int, u float64) (raw, inflation, queue float64
 	return raw, inflation, queue
 }
 
-// MeanDelay implements DelayModel: service time inflated by contention plus
-// M/D/1 queueing delay plus propagation.
+// MeanDelay returns the expected delay at utilization u: service time
+// inflated by contention plus M/D/1 queueing delay plus propagation. The
+// analytical model takes α from it.
 func (e Ethernet) MeanDelay(bytes int, u float64) float64 {
 	raw, inflation, queue := e.Breakdown(bytes, u)
 	return raw + inflation + queue + e.Propagation
@@ -131,78 +118,3 @@ func (e Ethernet) MeanDelay(bytes int, u float64) float64 {
 
 // Delay implements DelayModel. The model is deterministic given load.
 func (e Ethernet) Delay(bytes int, u float64) float64 { return e.MeanDelay(bytes, u) }
-
-// Message is what the network carries: an opaque payload with routing
-// metadata.
-type Message[T any] struct {
-	From    NodeID
-	To      NodeID
-	Bytes   int
-	Payload T
-}
-
-// Network connects a fixed set of nodes. Each node owns an inbox queue that
-// its TM server process drains.
-type Network[T any] struct {
-	env    *sim.Env
-	model  DelayModel
-	inbox  []*sim.Queue[Message[T]]
-	sent   stats.Counter
-	bytes  stats.Counter
-	busyMS stats.TimeWeighted
-	util   float64
-}
-
-// NewNetwork creates a network with n nodes attached to env.
-func NewNetwork[T any](env *sim.Env, n int, model DelayModel) *Network[T] {
-	if model == nil {
-		model = ZeroDelay{}
-	}
-	nw := &Network[T]{env: env, model: model}
-	for i := 0; i < n; i++ {
-		nw.inbox = append(nw.inbox, sim.NewQueue[Message[T]](env, fmt.Sprintf("inbox-%d", i)))
-	}
-	return nw
-}
-
-// Nodes returns the node count.
-func (n *Network[T]) Nodes() int { return len(n.inbox) }
-
-// Inbox returns node id's message queue.
-func (n *Network[T]) Inbox(id NodeID) *sim.Queue[Message[T]] { return n.inbox[id] }
-
-// Send delivers payload from src to dst after the model's delay. Local
-// sends (src == dst) are delivered with zero network delay.
-func (n *Network[T]) Send(src, dst NodeID, bytes int, payload T) {
-	m := Message[T]{From: src, To: dst, Bytes: bytes, Payload: payload}
-	n.sent.Inc()
-	n.bytes.Addn(int64(bytes))
-	d := 0.0
-	if src != dst {
-		d = n.model.Delay(bytes, n.util)
-	}
-	if d <= 0 {
-		n.inbox[dst].Put(m)
-		return
-	}
-	n.env.After(d, func() { n.inbox[dst].Put(m) })
-}
-
-// SetUtilization updates the utilization estimate fed to the delay model.
-// The experiment harness recomputes it periodically from byte counters.
-func (n *Network[T]) SetUtilization(u float64) { n.util = u }
-
-// Sent returns the number of messages sent.
-func (n *Network[T]) Sent() int64 { return n.sent.N() }
-
-// BytesSent returns the number of payload bytes sent.
-func (n *Network[T]) BytesSent() int64 { return n.bytes.N() }
-
-// MessageRate returns messages per unit time at time t.
-func (n *Network[T]) MessageRate(t float64) float64 { return n.sent.Rate(t) }
-
-// ResetStats truncates the statistics window at t.
-func (n *Network[T]) ResetStats(t float64) {
-	n.sent.ResetAt(t)
-	n.bytes.ResetAt(t)
-}

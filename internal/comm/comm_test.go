@@ -3,100 +3,7 @@ package comm
 import (
 	"math"
 	"testing"
-
-	"carat/internal/sim"
 )
-
-func TestZeroDelayDelivery(t *testing.T) {
-	e := sim.NewEnv()
-	nw := NewNetwork[string](e, 2, ZeroDelay{})
-	var got Message[string]
-	var at float64 = -1
-	e.Spawn("recv", func(p *sim.Proc) {
-		m, err := nw.Inbox(1).Get(p)
-		if err != nil {
-			t.Errorf("Get: %v", err)
-		}
-		got = m
-		at = p.Now()
-	})
-	e.Spawn("send", func(p *sim.Proc) {
-		p.Hold(5)
-		nw.Send(0, 1, 100, "hello")
-	})
-	e.RunAll()
-	if got.Payload != "hello" || got.From != 0 || got.To != 1 || got.Bytes != 100 {
-		t.Fatalf("message = %+v", got)
-	}
-	if at != 5 {
-		t.Fatalf("delivered at %v, want 5 (zero delay)", at)
-	}
-	if nw.Sent() != 1 || nw.BytesSent() != 100 {
-		t.Fatalf("counters: sent=%d bytes=%d", nw.Sent(), nw.BytesSent())
-	}
-}
-
-func TestFixedDelayDelivery(t *testing.T) {
-	e := sim.NewEnv()
-	nw := NewNetwork[int](e, 2, FixedDelay{D: 3})
-	var at float64 = -1
-	e.Spawn("recv", func(p *sim.Proc) {
-		if _, err := nw.Inbox(1).Get(p); err == nil {
-			at = p.Now()
-		}
-	})
-	e.Spawn("send", func(p *sim.Proc) {
-		p.Hold(10)
-		nw.Send(0, 1, 64, 42)
-	})
-	e.RunAll()
-	if at != 13 {
-		t.Fatalf("delivered at %v, want 13", at)
-	}
-}
-
-func TestLocalSendBypassesDelay(t *testing.T) {
-	e := sim.NewEnv()
-	nw := NewNetwork[int](e, 2, FixedDelay{D: 50})
-	var at float64 = -1
-	e.Spawn("recv", func(p *sim.Proc) {
-		if _, err := nw.Inbox(0).Get(p); err == nil {
-			at = p.Now()
-		}
-	})
-	e.Spawn("send", func(p *sim.Proc) {
-		p.Hold(1)
-		nw.Send(0, 0, 64, 1)
-	})
-	e.RunAll()
-	if at != 1 {
-		t.Fatalf("local delivery at %v, want 1", at)
-	}
-}
-
-func TestMessageOrderPreserved(t *testing.T) {
-	e := sim.NewEnv()
-	nw := NewNetwork[int](e, 2, FixedDelay{D: 2})
-	var got []int
-	e.Spawn("recv", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			m, _ := nw.Inbox(1).Get(p)
-			got = append(got, m.Payload)
-		}
-	})
-	e.Spawn("send", func(p *sim.Proc) {
-		for i := 1; i <= 3; i++ {
-			nw.Send(0, 1, 10, i)
-			p.Hold(1)
-		}
-	})
-	e.RunAll()
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("order = %v", got)
-		}
-	}
-}
 
 func TestEthernetModelShape(t *testing.T) {
 	en := DefaultEthernet()
@@ -128,19 +35,5 @@ func TestEthernetMinimumFrame(t *testing.T) {
 	}
 	if en.transmission(1000) <= en.transmission(64) {
 		t.Fatal("bigger frames must take longer")
-	}
-}
-
-func TestNetworkStatsReset(t *testing.T) {
-	e := sim.NewEnv()
-	nw := NewNetwork[int](e, 2, ZeroDelay{})
-	nw.Send(0, 1, 10, 1)
-	nw.ResetStats(0)
-	if nw.Sent() != 0 {
-		t.Fatalf("sent after reset = %d", nw.Sent())
-	}
-	nw.Send(0, 1, 10, 1)
-	if r := nw.MessageRate(2); math.Abs(r-0.5) > 1e-9 {
-		t.Fatalf("message rate = %v, want 0.5", r)
 	}
 }

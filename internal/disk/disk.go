@@ -160,7 +160,6 @@ func (s *SeekRotational) Mean(op OpKind) float64 {
 // Device is one disk: a single-server FCFS queue plus a service model and
 // an operation mix breakdown for reporting.
 type Device struct {
-	name    string
 	station *sim.Resource
 	model   ServiceModel
 	r       *rng.Rand
@@ -176,21 +175,11 @@ type Device struct {
 // New creates a device attached to env.
 func New(env *sim.Env, name string, model ServiceModel, r *rng.Rand) *Device {
 	return &Device{
-		name:    name,
 		station: sim.NewResource(env, name, 1),
 		model:   model,
 		r:       r,
 	}
 }
-
-// Name returns the device name.
-func (d *Device) Name() string { return d.name }
-
-// Station exposes the underlying queueing station for statistics.
-func (d *Device) Station() *sim.Resource { return d.station }
-
-// Model returns the device's service model.
-func (d *Device) Model() ServiceModel { return d.model }
 
 // SetSlowdown sets the gray-failure service-time multiplier; factors <= 1
 // restore full speed.

@@ -201,47 +201,3 @@ func bottleneckOf(pt ScalePoint) string {
 	}
 	return name
 }
-
-// Point returns the cell for one (sites, locality, λ) triple.
-func (r *ScaleSweepResult) Point(sites int, locality, lambda float64) (ScalePoint, bool) {
-	for _, p := range r.Points {
-		if p.Sites == sites && p.Locality == locality && p.LambdaPerSite == lambda {
-			return p, true
-		}
-	}
-	return ScalePoint{}, false
-}
-
-// Table renders the full grid as the bottleneck-migration table
-// EXPERIMENTS.md embeds: one row per cell, sites-major.
-func (r *ScaleSweepResult) Table() *Table {
-	t := &Table{
-		ID: "Scale sweep",
-		Title: fmt.Sprintf("Bottleneck migration at scale (%v placement): per-center utilizations as sites × locality × λ grow",
-			r.Strategy),
-		Header: []string{
-			"Sites", "Locality", "λ/site",
-			"TPS", "Abort rate", "Resp (ms)",
-			"CPU util", "Disk util", "TM util", "Wire util",
-			"Wire inflation (ms)", "Wire queue (ms)", "Bottleneck",
-		},
-	}
-	for _, p := range r.Points {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", p.Sites),
-			fmt.Sprintf("%.2f", p.Locality),
-			fmt.Sprintf("%.2f", p.LambdaPerSite),
-			fmt.Sprintf("%.1f", p.CommittedTPS),
-			fmt.Sprintf("%.3f", p.AbortRate),
-			fmt.Sprintf("%.0f", p.MeanResponseMS),
-			fmt.Sprintf("%.2f", p.MaxCPUUtil),
-			fmt.Sprintf("%.2f", p.MaxDiskUtil),
-			fmt.Sprintf("%.2f", p.MaxTMUtil),
-			fmt.Sprintf("%.2f", p.WireUtil),
-			fmt.Sprintf("%.3f", p.NetMeanInflationMS),
-			fmt.Sprintf("%.3f", p.NetMeanQueueMS),
-			p.Bottleneck,
-		})
-	}
-	return t
-}

@@ -151,18 +151,6 @@ type entry struct {
 	queue   []*request
 }
 
-func (e *entry) grantedMode() (Mode, bool) {
-	if len(e.granted) == 0 {
-		return Shared, false
-	}
-	for _, gr := range e.granted {
-		if gr.mode == Exclusive {
-			return Exclusive, true
-		}
-	}
-	return Shared, true
-}
-
 // grantedOf returns txn's granted mode on e, if any.
 func (e *entry) grantedOf(txn TxnID) (Mode, bool) {
 	for _, gr := range e.granted {

@@ -130,9 +130,6 @@ func NewDirectory(strategy Strategy, sites, granulesPerSite int) (Directory, err
 // Strategy returns the directory's placement strategy.
 func (d Directory) Strategy() Strategy { return d.strategy }
 
-// Sites returns the number of home sites.
-func (d Directory) Sites() int { return d.sites }
-
 // Granules returns the size of the global granule space.
 func (d Directory) Granules() int { return d.sites * d.perSite }
 

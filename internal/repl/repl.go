@@ -140,9 +140,6 @@ func NewPlacement(nodes, granules, factor int, r *rng.Rand) *Placement {
 	return p
 }
 
-// Factor returns the replication factor the placement was built with.
-func (p *Placement) Factor() int { return p.factor }
-
 // Replicas returns the sites holding a copy of granule g of site owner,
 // primary first. The returned slice aliases the placement; don't mutate it.
 func (p *Placement) Replicas(owner, g int) []int {

@@ -41,19 +41,18 @@ func TestDrainedRunLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		e := NewEnv()
-		q := NewQueue[int](e, "q")
+		done := NewEvent(e)
 		r := NewResource(e, "cpu", 1)
+		finished := 0
 		for j := 0; j < 4; j++ {
 			e.Spawn("worker", func(p *Proc) {
 				_ = r.Use(p, 1)
-				q.Put(j)
+				if finished++; finished == 4 {
+					done.Trigger(nil)
+				}
 			})
 		}
-		e.Spawn("sink", func(p *Proc) {
-			for j := 0; j < 4; j++ {
-				_, _ = q.Get(p)
-			}
-		})
+		e.Spawn("sink", func(p *Proc) { _ = done.Wait(p) })
 		if i%2 == 0 {
 			e.RunAll()
 		} else {
@@ -76,13 +75,13 @@ func TestDrainedRunLeavesNoGoroutines(t *testing.T) {
 // the new occupant.
 func TestShutdownRunsDefersOnReusedCoroutine(t *testing.T) {
 	e := NewEnv()
-	q := NewQueue[int](e, "q")
+	ev := NewEvent(e)
 	first := e.Spawn("first", func(p *Proc) {})
 	cleaned := false
 	var got error
 	e.SpawnAt(1, "second", func(p *Proc) {
 		defer func() { cleaned = true }()
-		_, got = q.Get(p)
+		got = ev.Wait(p)
 	})
 	e.Run(2)
 	if c := e.Stats().Coroutines; c != 1 {
@@ -113,8 +112,8 @@ func TestShutdownRunsDefersOnReusedCoroutine(t *testing.T) {
 // rather than return to the pool.
 func TestPanicCoroutineNotPooled(t *testing.T) {
 	e := NewEnv()
-	q := NewQueue[int](e, "q")
-	e.Spawn("parked", func(p *Proc) { _, _ = q.Get(p) })
+	ev := NewEvent(e)
+	e.Spawn("parked", func(p *Proc) { _ = ev.Wait(p) })
 	e.Spawn("first", func(p *Proc) {})
 	e.SpawnAt(1, "boom", func(p *Proc) { panic("kaboom") })
 	var msg string

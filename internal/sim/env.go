@@ -2,10 +2,10 @@
 // simulation kernel.
 //
 // Model code is written as ordinary sequential Go functions ("processes")
-// that advance simulated time with Hold, contend for Resources, and exchange
-// messages through Queues. The kernel runs exactly one process at a time and
-// orders simultaneous events by schedule order, so a simulation with a fixed
-// seed is fully reproducible.
+// that advance simulated time with Hold, contend for Resources, and wait on
+// Events. The kernel runs exactly one process at a time and orders
+// simultaneous events by schedule order, so a simulation with a fixed seed
+// is fully reproducible.
 //
 // Internally the kernel is a single-threaded state-machine event loop: a
 // 4-ary heap of pooled event structs, dispatching process continuations
@@ -14,7 +14,7 @@
 // switch per wakeup, with the Go scheduler, channel locks and goroutine
 // parking entirely off the hot path. Coroutines are recycled: when a
 // process returns, its coroutine waits in an idle pool to run the next
-// process started. The process API (Proc, Hold, Resource, Queue, Event) is
+// process started. The process API (Proc, Hold, Resource, Event) is
 // a thin veneer over this loop, so model code still reads as sequential
 // programs. A process can also hand the kernel a chain of station visits
 // (Proc.Visits), which the kernel advances from visit to visit without
@@ -55,7 +55,7 @@ func (e *InterruptError) Unwrap() error { return ErrInterrupted }
 type killSentinel struct{}
 
 // detacher is implemented by the waiter records of the interruptible
-// primitives (Resource, Queue, Event): detach removes the record from its
+// primitives (Resource, Event): detach removes the record from its
 // waiter list so the interrupted process stops being a wakeup target.
 type detacher interface{ detach() }
 
@@ -417,9 +417,6 @@ type Proc struct {
 	waiter detacher
 }
 
-// Name returns the name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current simulation time.
 func (p *Proc) Now() float64 { return p.env.now }
 
@@ -536,7 +533,7 @@ func (p *Proc) park() error {
 }
 
 // Interrupt wakes p with an *InterruptError carrying cause, provided p is
-// parked on an interruptible primitive (lock wait, queue wait, event wait).
+// parked on an interruptible primitive (resource wait or event wait).
 // It reports whether the interrupt was delivered. Interrupting a runnable
 // process or one blocked in Hold is not supported and returns false.
 func (p *Proc) Interrupt(cause error) bool {

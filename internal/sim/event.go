@@ -2,14 +2,13 @@ package sim
 
 // Event is a one-shot synchronization point: any number of processes Wait
 // on it, and a single Trigger releases them all. Once triggered, Wait
-// returns immediately. A triggered Event can be re-armed with Reset.
+// returns immediately.
 //
 // Trigger carries a result error that every waiter receives, which the
 // CARAT testbed uses to deliver transaction outcomes (commit vs. abort) to
 // processes blocked on protocol acknowledgments.
 type Event struct {
 	env       *Env
-	name      string
 	triggered bool
 	result    error
 	waiters   []*eventWaiter
@@ -21,22 +20,16 @@ type eventWaiter struct {
 }
 
 // detach implements the interrupt hook: the waiter becomes a tombstone that
-// Trigger and Reset skip (and reclaim).
+// Trigger skips (and reclaims).
 func (w *eventWaiter) detach() { w.removed = true }
 
 // NewEvent creates an untriggered event.
-func NewEvent(env *Env, name string) *Event {
-	return &Event{env: env, name: name}
+func NewEvent(env *Env) *Event {
+	return &Event{env: env}
 }
 
-// Name returns the event name.
-func (ev *Event) Name() string { return ev.name }
-
-// Triggered reports whether Trigger has been called since the last Reset.
+// Triggered reports whether Trigger has been called.
 func (ev *Event) Triggered() bool { return ev.triggered }
-
-// Result returns the error passed to Trigger (nil before triggering).
-func (ev *Event) Result() error { return ev.result }
 
 // Trigger fires the event, waking all waiters with result. Triggering an
 // already-triggered event is a no-op that keeps the original result.
@@ -55,21 +48,6 @@ func (ev *Event) Trigger(result error) {
 		}
 		ev.env.evwPool.put(w)
 	}
-}
-
-// Reset re-arms a triggered event. It panics if processes are still waiting.
-func (ev *Event) Reset() {
-	for _, w := range ev.waiters {
-		if !w.removed {
-			panic("sim: Reset on event with waiters")
-		}
-	}
-	for _, w := range ev.waiters {
-		ev.env.evwPool.put(w)
-	}
-	ev.triggered = false
-	ev.result = nil
-	ev.waiters = ev.waiters[:0]
 }
 
 // Wait blocks (interruptibly) until the event is triggered, then returns

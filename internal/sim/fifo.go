@@ -9,10 +9,9 @@ type fifo[T any] struct {
 	head int
 }
 
-func (f *fifo[T]) len() int   { return len(f.s) - f.head }
-func (f *fifo[T]) push(x T)   { f.s = append(f.s, x) }
-func (f *fifo[T]) peek() T    { return f.s[f.head] }
-func (f *fifo[T]) items() []T { return f.s[f.head:] }
+func (f *fifo[T]) len() int { return len(f.s) - f.head }
+func (f *fifo[T]) push(x T) { f.s = append(f.s, x) }
+func (f *fifo[T]) peek() T  { return f.s[f.head] }
 
 func (f *fifo[T]) pop() T {
 	x := f.s[f.head]

@@ -33,8 +33,8 @@ func visitResource(p *Proc, r *Resource, d float64, viaUse bool) error {
 }
 
 // interleaveTrace runs a small world of actors whose behavior is scripted
-// by the fuzz input: each actor repeatedly holds, parks on a shared event
-// or queue, or interrupts another actor, then the driver runs the kernel
+// by the fuzz input: each actor repeatedly holds, parks on one of two shared
+// events, or interrupts another actor, then the driver runs the kernel
 // and shuts it down. Unless visit is noVisits, a sixth op visits one of two
 // shared resources (one and two servers), and the trace ends with their
 // statistics and the kernel's work counts that do not depend on the visit
@@ -43,8 +43,7 @@ func visitResource(p *Proc, r *Resource, d float64, viaUse bool) error {
 // kernel misbehaves.
 func interleaveTrace(script []byte, visit visitMode) string {
 	e := NewEnv()
-	ev := NewEvent(e, "ev")
-	q := NewQueue[int](e, "q")
+	ev, sig := NewEvent(e), NewEvent(e)
 	res := []*Resource{NewResource(e, "r1", 1), NewResource(e, "r2", 2)}
 	nops := byte(5)
 	if visit != noVisits {
@@ -75,17 +74,19 @@ func interleaveTrace(script []byte, visit visitMode) string {
 				case 1: // park on the shared event
 					err := ev.Wait(p)
 					emit("event wait -> %v", who, err)
-				case 2: // trigger + reset the shared event
+				case 2: // trigger the shared event, then re-arm it with a fresh one
 					ev.Trigger(nil)
-					ev.Reset()
+					ev = NewEvent(e)
 					emit("trigger", who)
-				case 3: // queue traffic: even actors put, odd actors get
+				case 3: // signal traffic on the second event: even actors
+					// trigger it with a value and re-arm it, odd actors wait
 					if a%2 == 0 {
-						q.Put(int(op))
-						emit("put %d", who, op)
+						sig.Trigger(fmt.Errorf("signal %d", op))
+						sig = NewEvent(e)
+						emit("signal %d", who, op)
 					} else {
-						v, err := q.Get(p)
-						emit("get %d -> %v", who, v, err)
+						err := sig.Wait(p)
+						emit("signal wait -> %v", who, err)
 					}
 				case 4: // interrupt the next actor if it is parked
 					target := procs[(a+1)%actors]
@@ -136,7 +137,7 @@ func interleaveTrace(script []byte, visit visitMode) string {
 }
 
 // FuzzKernelInterleave drives random interleavings of Hold, event waits,
-// queue traffic, Interrupt and Shutdown through the kernel. Two properties
+// signal traffic, Interrupt and Shutdown through the kernel. Two properties
 // must hold for every input: the kernel survives (no internal panic, clean
 // teardown — checked inside interleaveTrace), and the run is deterministic
 // (the same script yields a byte-identical trace).

@@ -84,16 +84,15 @@ func BenchmarkKernelHoldFused(b *testing.B) {
 }
 
 // BenchmarkKernelWake measures the park/wake cycle through an Event: one
-// waiter parks, a scheduled callback triggers it, repeat.
+// waiter parks on a fresh event, a scheduled callback triggers it, repeat.
 func BenchmarkKernelWake(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEnv()
-	ev := NewEvent(e, "ev")
 	e.Spawn("waiter", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
+			ev := NewEvent(e)
 			e.At(e.Now(), func() { ev.Trigger(nil) })
 			_ = ev.Wait(p)
-			ev.Reset()
 		}
 	})
 	e.RunAll()
@@ -125,9 +124,9 @@ func BenchmarkShutdownParked(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		e := NewEnv()
-		q := NewQueue[int](e, "q")
+		ev := NewEvent(e)
 		for j := 0; j < parked; j++ {
-			e.Spawn("p", func(p *Proc) { _, _ = q.Get(p) })
+			e.Spawn("p", func(p *Proc) { _ = ev.Wait(p) })
 		}
 		e.Run(1)
 		b.StartTimer()

@@ -6,11 +6,11 @@ import (
 
 func TestShutdownKillsParkedProcesses(t *testing.T) {
 	e := NewEnv()
-	q := NewQueue[int](e, "q")
+	ev := NewEvent(e)
 	r := NewResource(e, "cpu", 1)
 	reached := false
 	e.Spawn("queued", func(p *Proc) {
-		_, _ = q.Get(p) // parks forever: nothing ever Puts
+		_ = ev.Wait(p) // parks forever: nothing ever triggers it
 		reached = true
 	})
 	e.Spawn("holder", func(p *Proc) {
@@ -53,11 +53,11 @@ func TestShutdownUnstartedProcess(t *testing.T) {
 
 func TestShutdownRunsDefers(t *testing.T) {
 	e := NewEnv()
-	q := NewQueue[int](e, "q")
+	ev := NewEvent(e)
 	cleaned := false
 	e.Spawn("p", func(p *Proc) {
 		defer func() { cleaned = true }()
-		_, _ = q.Get(p)
+		_ = ev.Wait(p)
 	})
 	e.Run(10)
 	e.Shutdown()
@@ -67,18 +67,18 @@ func TestShutdownRunsDefers(t *testing.T) {
 }
 
 // TestShutdownRekillsReparkedProcess covers a process whose defer blocks
-// again (here: on another queue) while being killed — Shutdown must keep
+// again (here: on another event) while being killed — Shutdown must keep
 // killing until the environment is empty.
 func TestShutdownRekillsReparkedProcess(t *testing.T) {
 	e := NewEnv()
-	q1 := NewQueue[int](e, "q1")
-	q2 := NewQueue[int](e, "q2")
+	ev1 := NewEvent(e)
+	ev2 := NewEvent(e)
 	e.Spawn("stubborn", func(p *Proc) {
 		defer func() {
-			recover()        // swallow the first kill...
-			_, _ = q2.Get(p) // ...and park again
+			recover()       // swallow the first kill...
+			_ = ev2.Wait(p) // ...and park again
 		}()
-		_, _ = q1.Get(p)
+		_ = ev1.Wait(p)
 	})
 	e.Run(10)
 	e.Shutdown()
@@ -113,15 +113,15 @@ func TestShutdownIdempotentAndEmptyEnv(t *testing.T) {
 func TestShutdownLargeParkedPopulation(t *testing.T) {
 	const parked = 20_000
 	e := NewEnv()
-	q := NewQueue[int](e, "q")
+	ev := NewEvent(e)
 	r := NewResource(e, "cpu", 1)
 	unwound := 0
 	for i := 0; i < parked; i++ {
-		blockOnQueue := i%2 == 0
+		blockOnEvent := i%2 == 0
 		e.Spawn("p", func(p *Proc) {
 			defer func() { unwound++ }()
-			if blockOnQueue {
-				_, _ = q.Get(p)
+			if blockOnEvent {
+				_ = ev.Wait(p)
 			} else {
 				_ = r.Acquire(p)
 				p.Hold(1e9)
@@ -144,13 +144,13 @@ func TestShutdownLargeParkedPopulation(t *testing.T) {
 func TestShutdownDeterministicKillOrder(t *testing.T) {
 	run := func() []string {
 		e := NewEnv()
-		q := NewQueue[int](e, "q")
+		ev := NewEvent(e)
 		var order []string
 		for _, name := range []string{"a", "b", "c"} {
 			name := name
 			e.Spawn(name, func(p *Proc) {
 				defer func() { order = append(order, name) }()
-				_, _ = q.Get(p)
+				_ = ev.Wait(p)
 			})
 		}
 		e.Run(10)

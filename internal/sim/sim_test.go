@@ -256,12 +256,11 @@ func TestResourceInterruptLeavesQueue(t *testing.T) {
 
 func TestInterruptCarriesCause(t *testing.T) {
 	e := NewEnv()
-	q := NewQueue[int](e, "q")
+	ev := NewEvent(e)
 	cause := errors.New("deadlock victim")
 	var got error
 	victim := e.Spawn("v", func(p *Proc) {
-		_, err := q.Get(p)
-		got = err
+		got = ev.Wait(p)
 	})
 	e.Spawn("k", func(p *Proc) {
 		p.Hold(1)
@@ -286,94 +285,9 @@ func TestInterruptRunnableFails(t *testing.T) {
 	e.RunAll()
 }
 
-func TestQueueFIFOAndBlocking(t *testing.T) {
-	e := NewEnv()
-	q := NewQueue[int](e, "q")
-	var got []int
-	e.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			v, err := q.Get(p)
-			if err != nil {
-				t.Errorf("Get: %v", err)
-			}
-			got = append(got, v)
-		}
-	})
-	e.Spawn("producer", func(p *Proc) {
-		for i := 1; i <= 3; i++ {
-			p.Hold(5)
-			q.Put(i * 10)
-		}
-	})
-	e.RunAll()
-	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
-		t.Fatalf("got = %v, want [10 20 30]", got)
-	}
-}
-
-func TestQueueBufferedBeforeGet(t *testing.T) {
-	e := NewEnv()
-	q := NewQueue[string](e, "q")
-	q.Put("a")
-	q.Put("b")
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", q.Len())
-	}
-	var got []string
-	e.Spawn("c", func(p *Proc) {
-		for i := 0; i < 2; i++ {
-			v, _ := q.Get(p)
-			got = append(got, v)
-		}
-	})
-	e.RunAll()
-	if got[0] != "a" || got[1] != "b" {
-		t.Fatalf("got = %v, want [a b]", got)
-	}
-}
-
-func TestQueueMultipleWaitersFCFS(t *testing.T) {
-	e := NewEnv()
-	q := NewQueue[int](e, "q")
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
-		e.SpawnAt(float64(i), fmt.Sprintf("w%d", i), func(p *Proc) {
-			v, _ := q.Get(p)
-			order = append(order, i*100+v)
-		})
-	}
-	e.Spawn("prod", func(p *Proc) {
-		p.Hold(10)
-		q.Put(1)
-		q.Put(2)
-		q.Put(3)
-	})
-	e.RunAll()
-	want := []int{1, 102, 203}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v (FCFS delivery)", order, want)
-		}
-	}
-}
-
-func TestTryGet(t *testing.T) {
-	e := NewEnv()
-	q := NewQueue[int](e, "q")
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue returned ok")
-	}
-	q.Put(7)
-	v, ok := q.TryGet()
-	if !ok || v != 7 {
-		t.Fatalf("TryGet = %v,%v want 7,true", v, ok)
-	}
-}
-
 func TestEventBroadcast(t *testing.T) {
 	e := NewEnv()
-	ev := NewEvent(e, "commit")
+	ev := NewEvent(e)
 	result := errors.New("aborted")
 	var woken []float64
 	for i := 0; i < 3; i++ {
@@ -399,7 +313,7 @@ func TestEventBroadcast(t *testing.T) {
 	}
 	// Waiting after the trigger returns immediately with the result.
 	e2 := NewEnv()
-	ev2 := NewEvent(e2, "done")
+	ev2 := NewEvent(e2)
 	ev2.Trigger(nil)
 	ran := false
 	e2.Spawn("late", func(p *Proc) {
@@ -414,24 +328,14 @@ func TestEventBroadcast(t *testing.T) {
 	}
 }
 
-func TestEventReset(t *testing.T) {
-	e := NewEnv()
-	ev := NewEvent(e, "cycle")
-	ev.Trigger(nil)
-	ev.Reset()
-	if ev.Triggered() {
-		t.Fatal("Reset did not clear trigger")
-	}
-}
-
 func TestDoubleTriggerKeepsFirstResult(t *testing.T) {
 	e := NewEnv()
-	ev := NewEvent(e, "once")
+	ev := NewEvent(e)
 	first := errors.New("first")
 	ev.Trigger(first)
 	ev.Trigger(errors.New("second"))
-	if ev.Result() != first {
-		t.Fatalf("Result = %v, want first", ev.Result())
+	if ev.result != first {
+		t.Fatalf("result = %v, want first", ev.result)
 	}
 }
 
@@ -473,23 +377,6 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("traces diverge at %d: %s vs %s", i, a[i], b[i])
 		}
 	}
-}
-
-func TestEventResetWithWaitersPanics(t *testing.T) {
-	e := NewEnv()
-	ev := NewEvent(e, "held")
-	e.Spawn("w", func(p *Proc) { _ = ev.Wait(p) })
-	e.Spawn("r", func(p *Proc) {
-		p.Hold(1)
-		defer func() {
-			if recover() == nil {
-				t.Error("Reset with waiters must panic")
-			}
-			ev.Trigger(nil) // release the waiter so the env drains
-		}()
-		ev.Reset()
-	})
-	e.RunAll()
 }
 
 func TestReleaseWithoutAcquirePanics(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package stats provides the small set of estimators a discrete-event
-// simulation needs: sample tallies, time-weighted averages, rates, and
-// batch-means confidence intervals.
+// simulation needs: sample tallies, time-weighted averages, and rates, with
+// batch-means confidence intervals for windowed rates.
 //
 // All estimators are plain values with no locking; the simulation kernel
 // guarantees single-threaded access.
@@ -12,26 +12,15 @@ import (
 )
 
 // Tally accumulates independent observations (Welford's algorithm) and
-// reports count, mean, variance, min and max.
+// reports count, mean and variance.
 type Tally struct {
 	n        int64
 	mean, m2 float64
-	min, max float64
 }
 
 // Add records one observation.
 func (t *Tally) Add(x float64) {
 	t.n++
-	if t.n == 1 {
-		t.min, t.max = x, x
-	} else {
-		if x < t.min {
-			t.min = x
-		}
-		if x > t.max {
-			t.max = x
-		}
-	}
 	d := x - t.mean
 	t.mean += d / float64(t.n)
 	t.m2 += d * (x - t.mean)
@@ -54,12 +43,6 @@ func (t *Tally) Var() float64 {
 
 // StdDev returns the sample standard deviation.
 func (t *Tally) StdDev() float64 { return math.Sqrt(t.Var()) }
-
-// Min returns the smallest observation, or 0 with none.
-func (t *Tally) Min() float64 { return t.min }
-
-// Max returns the largest observation, or 0 with none.
-func (t *Tally) Max() float64 { return t.max }
 
 // Sum returns n*mean, the total of all observations.
 func (t *Tally) Sum() float64 { return t.mean * float64(t.n) }
@@ -101,7 +84,7 @@ func TCrit95(df int64) float64 {
 }
 
 func (t *Tally) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g", t.n, t.Mean(), t.StdDev(), t.min, t.max)
+	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g", t.n, t.Mean(), t.StdDev())
 }
 
 // TimeWeighted tracks a piecewise-constant value over simulated time and
@@ -245,52 +228,4 @@ func (w *WindowedRate) Rate(t float64) (rate, halfWidth float64) {
 	}
 	halfWidth = 1.96 * w.counts.StdDev() / math.Sqrt(float64(k)) / w.window
 	return rate, halfWidth
-}
-
-// Windows returns the number of complete windows observed by the last
-// Rate/Add call.
-func (w *WindowedRate) Windows() int64 { return w.counts.N() }
-
-// BatchMeans estimates a confidence interval for a steady-state mean by the
-// method of nonoverlapping batch means. Observations are grouped into
-// batches of fixed size; the batch averages are treated as approximately
-// independent.
-type BatchMeans struct {
-	batchSize int
-	cur       Tally
-	batches   Tally
-}
-
-// NewBatchMeans returns an estimator using the given batch size (>= 1).
-func NewBatchMeans(batchSize int) *BatchMeans {
-	if batchSize < 1 {
-		panic("stats: batch size must be >= 1")
-	}
-	return &BatchMeans{batchSize: batchSize}
-}
-
-// Add records one observation.
-func (b *BatchMeans) Add(x float64) {
-	b.cur.Add(x)
-	if int(b.cur.N()) == b.batchSize {
-		b.batches.Add(b.cur.Mean())
-		b.cur.Reset()
-	}
-}
-
-// Batches returns the number of completed batches.
-func (b *BatchMeans) Batches() int64 { return b.batches.N() }
-
-// Mean returns the grand mean over completed batches.
-func (b *BatchMeans) Mean() float64 { return b.batches.Mean() }
-
-// HalfWidth returns the approximate 95% confidence half-width around Mean,
-// using a normal critical value (adequate for >= 10 batches). It returns
-// +Inf with fewer than two batches.
-func (b *BatchMeans) HalfWidth() float64 {
-	k := b.batches.N()
-	if k < 2 {
-		return math.Inf(1)
-	}
-	return 1.96 * b.batches.StdDev() / math.Sqrt(float64(k))
 }

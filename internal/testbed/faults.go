@@ -511,7 +511,7 @@ func (s *System) markDown(nd *node) {
 	nd.down = true
 	nd.downSince = s.env.Now()
 	if nd.upEv == nil {
-		nd.upEv = sim.NewEvent(s.env, fmt.Sprintf("up-%d", nd.id))
+		nd.upEv = sim.NewEvent(s.env)
 	}
 	if s.downCount == 0 {
 		s.degradedSince = s.env.Now()

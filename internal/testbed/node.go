@@ -287,20 +287,6 @@ func (n *node) releaseTxn(gid int64) {
 // separateLog reports whether the log has its own device.
 func (n *node) separateLog() bool { return n.logDisk != n.dbDisks[0] }
 
-// totalDIO returns the combined database+log I/O count.
-func (n *node) totalDIO() int64 {
-	var total int64
-	for _, d := range n.dbDisks {
-		r, w, l := d.Counts()
-		total += r + w + l
-	}
-	if n.separateLog() {
-		r2, w2, l2 := n.logDisk.Counts()
-		total += r2 + w2 + l2
-	}
-	return total
-}
-
 // resetStats truncates every measurement window at time t (end of warmup).
 func (n *node) resetStats(t float64) {
 	n.cpu.ResetStats(t)

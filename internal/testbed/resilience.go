@@ -206,7 +206,7 @@ func (u *user) admit(p *sim.Proc, home *node) {
 			p.Hold(pol.ShedBackoffMS)
 			continue
 		}
-		ev := sim.NewEvent(u.sys.env, "admit")
+		ev := sim.NewEvent(u.sys.env)
 		home.admitQ = append(home.admitQ, ev)
 		home.resil.DelayedArrivals++
 		t0 := p.Now()

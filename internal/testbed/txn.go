@@ -1039,7 +1039,7 @@ func (u *user) lockWait(p *sim.Proc, st *txnState, nd *node) error {
 		// the queued request.
 		return errDeadlockVictim
 	}
-	ev := sim.NewEvent(sys.env, "grant")
+	ev := sim.NewEvent(sys.env)
 	nd.grantEv[st.gid] = ev
 	st.parked = true
 	if f := sys.faults; f != nil && f.plan.LockWaitTimeoutMS > 0 {
@@ -1233,7 +1233,7 @@ func (u *user) fanOutPrepare(p *sim.Proc, st *txnState, home *node, slaves []*no
 	done := make([]*sim.Event, len(slaves))
 	for i, nd := range slaves {
 		i, nd := i, nd
-		done[i] = sim.NewEvent(env, "prepare")
+		done[i] = sim.NewEvent(env)
 		env.Spawn("prepare", func(hp *sim.Proc) {
 			rcosts := nd.costsFor(kind)
 			hp.Hold(sys.hop(home.id, nd.id, controlMsgBytes))
@@ -1337,7 +1337,7 @@ func (u *user) fanOutCommit(p *sim.Proc, st *txnState, home *node, slaves []*nod
 	done := make([]*sim.Event, len(slaves))
 	for i, nd := range slaves {
 		i, nd := i, nd
-		done[i] = sim.NewEvent(env, "commit")
+		done[i] = sim.NewEvent(env)
 		env.Spawn("commit", func(hp *sim.Proc) {
 			rcosts := nd.costsFor(kind)
 			hp.Hold(sys.hop(home.id, nd.id, controlMsgBytes))

@@ -87,9 +87,6 @@ func NewLog() *Log {
 	return &Log{byTxn: make(map[int64][]int)}
 }
 
-// Len returns the number of records written.
-func (l *Log) Len() int { return len(l.records) }
-
 // FlushedLSN returns the highest LSN known durable.
 func (l *Log) FlushedLSN() int64 { return l.flushed }
 
