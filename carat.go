@@ -1292,14 +1292,15 @@ func predictionFrom(res *core.Result) *Prediction {
 	return p
 }
 
-// Simulate runs the CARAT testbed simulator on the workload.
+// Simulate runs the CARAT testbed simulator on the workload. A run that
+// wedges, measuring less than its configured window, is an error.
 func Simulate(w Workload, opts SimOptions) (*Measurement, error) {
 	return simulate(w, opts, nil)
 }
 
 // simulate is the one run path behind Simulate and SimulateWithTrace:
 // build the testbed configuration, run it with the optional trace
-// callback, and convert the results.
+// callback, reject a wedged run, and convert the results.
 func simulate(w Workload, opts SimOptions, trace func(testbed.TraceEvent)) (*Measurement, error) {
 	e := opts.fill()
 	cfg := w.w.TestbedConfig(e.Seed, e.Warmup, e.Duration)
@@ -1308,7 +1309,11 @@ func simulate(w Workload, opts SimOptions, trace func(testbed.TraceEvent)) (*Mea
 	if err != nil {
 		return nil, err
 	}
-	return measurementFrom(sys.Run()), nil
+	res := sys.Run()
+	if err := sys.CheckWindow(res); err != nil {
+		return nil, err
+	}
+	return measurementFrom(res), nil
 }
 
 func measurementFrom(res testbed.Results) *Measurement {

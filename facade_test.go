@@ -448,3 +448,38 @@ func TestWithFaultsKeepsPrivateCopy(t *testing.T) {
 		t.Errorf("changing the caller's plan after WithFaults changed the run:\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// TestSimulateFailsWedgedRun pins that the facade's run path, behind
+// Simulate and SimulateWithTrace, fails a wedged run as every sweep does:
+// the closed three-site mix with a one-slot DM pool wedges in warm-up and
+// measures a zero window.
+func TestSimulateFailsWedgedRun(t *testing.T) {
+	var users []User
+	for site := 0; site < 3; site++ {
+		other := (site + 1) % 3
+		users = append(users,
+			User{Type: LocalReadOnly, Home: site},
+			User{Type: LocalUpdate, Home: site},
+			User{Type: DistributedRead, Home: site, Remote: other},
+			User{Type: DistributedUpdate, Home: site, Remote: other},
+		)
+	}
+	w, err := NewWorkload("MB-3site", 3, users, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.w.DMServers = 1
+	opts := SimOptions{Seed: 1, WarmupMS: 10_000, DurationMS: 60_000}
+	m, err := Simulate(w, opts)
+	if err == nil {
+		t.Fatalf("a wedged run returned no error, window %v ms", m.WindowMS)
+	}
+	for _, want := range []string{"wedged", "0 ms window", "50000 ms"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
+	if _, err := SimulateWithTrace(w, opts, func(TraceEvent) {}); err == nil {
+		t.Fatal("a wedged traced run returned no error")
+	}
+}

@@ -174,7 +174,9 @@ func drawResilience(r *rng.Rand, usersPerSite int) testbed.Resilience {
 // else (topology, transaction mix, service demands) is kept. The whole
 // audit is deterministic in (workload, options): the fault-free baseline
 // runs first, on the caller's goroutine, and the randomized runs then run on
-// runGrid with GOMAXPROCS workers, bit-identical for any worker count.
+// runGrid with GOMAXPROCS workers, bit-identical for any worker count. A
+// run that wedges, measuring less than its configured window, fails the
+// audit with an error, as it fails any sweep.
 func RunChaos(wl workload.Workload, opts ChaosOptions) (*ChaosReport, error) {
 	return runChaos(wl, opts, 0)
 }
@@ -219,6 +221,9 @@ func runChaos(wl workload.Workload, opts ChaosOptions, workers int) (*ChaosRepor
 			return testbed.Results{}, fmt.Errorf("experiment: chaos run %d: %w", run, err)
 		}
 		measured := sys.Run()
+		if err := sys.CheckWindow(measured); err != nil {
+			return testbed.Results{}, fmt.Errorf("experiment: chaos run %d: %w", run, err)
+		}
 
 		cr := ChaosRun{Run: run, Seed: seed, Plan: plan, Resilience: res, GoodputTPS: goodput(measured)}
 		cr.Violations = aud.Audit(sys)

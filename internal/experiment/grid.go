@@ -116,17 +116,15 @@ func runCell(run func(i int) (testbed.Results, error), i int) (res testbed.Resul
 
 // simulate builds and runs one testbed for the workload at the seed, naming
 // the cell in a construction error. A run that measures less than its
-// configured window is an error too: its event queue drained early, which
-// only a wedge does (see testbed.System.Run), so its numbers describe the
-// defect, not the workload.
+// configured window is an error too (testbed.System.CheckWindow).
 func simulate(wl workload.Workload, seed uint64, opts SimOptions, cell string) (testbed.Results, error) {
 	sys, err := testbed.New(wl.TestbedConfig(seed, opts.Warmup, opts.Duration))
 	if err != nil {
 		return testbed.Results{}, fmt.Errorf("experiment: %s: %w", cell, err)
 	}
 	res := sys.Run()
-	if want := opts.Duration - opts.Warmup; res.Window < want {
-		return testbed.Results{}, fmt.Errorf("experiment: %s: wedged: measured a %.0f ms window of the configured %.0f ms (the event queue drained early)", cell, res.Window, want)
+	if err := sys.CheckWindow(res); err != nil {
+		return testbed.Results{}, fmt.Errorf("experiment: %s: %w", cell, err)
 	}
 	return res, nil
 }

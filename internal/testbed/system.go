@@ -248,6 +248,16 @@ func (s *System) Run() Results {
 	return res
 }
 
+// CheckWindow returns an error when res, the result of Run, measured a
+// shorter window than the configured Duration − Warmup: the run wedged, and
+// its numbers describe the defect, not the workload (see Run).
+func (s *System) CheckWindow(res Results) error {
+	if want := s.cfg.Duration - s.cfg.Warmup; res.Window < want {
+		return fmt.Errorf("testbed: wedged: measured a %.0f ms window of the configured %.0f ms (the event queue drained early)", res.Window, want)
+	}
+	return nil
+}
+
 // resetStats truncates all statistics at time t (end of warmup).
 func (s *System) resetStats(t float64) {
 	for _, n := range s.nodes {
