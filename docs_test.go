@@ -13,6 +13,9 @@ import (
 // the prose docs name is declared in some _test.go of this module, so a
 // renamed or deleted test cannot leave a citation pointing at nothing. A
 // name followed by '*' is a prefix and must match at least one declaration.
+// Each alternative of a -run pattern in the Makefile and the CI workflow
+// must prefix a declaration too (exactly match it when anchored with '$'),
+// so renaming a listed test cannot quietly shrink make race or make chaos.
 func TestDocsCiteDeclaredTests(t *testing.T) {
 	declRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	var declared []string
@@ -47,6 +50,14 @@ func TestDocsCiteDeclaredTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	declares := func(name string, isPrefix bool) bool {
+		for _, d := range declared {
+			if d == name || isPrefix && strings.HasPrefix(d, name) {
+				return true
+			}
+		}
+		return false
+	}
 	citeRE := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*\*?`)
 	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
@@ -55,15 +66,32 @@ func TestDocsCiteDeclaredTests(t *testing.T) {
 		}
 		for _, name := range citeRE.FindAllString(string(text), -1) {
 			prefix, isPrefix := strings.CutSuffix(name, "*")
-			found := false
-			for _, d := range declared {
-				if d == name || isPrefix && strings.HasPrefix(d, prefix) {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !declares(prefix, isPrefix) {
 				t.Errorf("%s cites %s, which no _test.go in the module declares", doc, name)
+			}
+		}
+	}
+	runRE := regexp.MustCompile(`-run '([^']*)'`)
+	for _, file := range []string{"Makefile", ".github/workflows/ci.yml"} {
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patterns := runRE.FindAllStringSubmatch(string(text), -1)
+		if len(patterns) == 0 {
+			t.Errorf("%s has no -run '...' pattern to check", file)
+		}
+		for _, m := range patterns {
+			for _, alt := range strings.Split(m[1], "|") {
+				name := strings.TrimPrefix(alt, "^")
+				exact := strings.HasSuffix(name, "$") // "$$" in the Makefile
+				name = strings.TrimRight(name, "$")
+				if name == "" {
+					continue // '^$' runs no test, only benchmarks
+				}
+				if !declares(name, !exact) {
+					t.Errorf("%s runs -run alternative %q, which no _test.go in the module declares", file, alt)
+				}
 			}
 		}
 	}
