@@ -319,9 +319,10 @@ func TestFacadeRejectsNonFinite(t *testing.T) {
 }
 
 // TestParsersFillEveryKey sets every key of the fault, partition,
-// gray-failure and resilience syntaxes, each to a distinct value, and
-// checks that each value lands in its own field.
+// gray-failure, resilience, replication and open-class syntaxes, each to a
+// distinct value, and checks that each value lands in its own field.
 func TestParsersFillEveryKey(t *testing.T) {
+	hot, zipf := HotspotPattern(0.1, 0.7), ZipfPattern(0.5)
 	cases := []struct {
 		name  string
 		parse func() (any, error)
@@ -389,6 +390,32 @@ func TestParsersFillEveryKey(t *testing.T) {
 					MaxMPL: 6, AbortRateThreshold: 7, WindowMS: 8, Shed: true, ShedBackoffMS: 9,
 				},
 				ProbeRetryMS: 10,
+			},
+		},
+		{
+			name: "ParseReplication",
+			parse: func() (any, error) {
+				var out []ReplicationPolicy
+				for _, s := range []string{"R=2,read=quorum", "r=3", "factor=4,read=quorum,read=one"} {
+					r, err := ParseReplication(s)
+					if err != nil {
+						return nil, err
+					}
+					out = append(out, r)
+				}
+				return out, nil
+			},
+			want: []ReplicationPolicy{{Factor: 2, ReadQuorum: true}, {Factor: 3}, {Factor: 4}},
+		},
+		{
+			name: "ParseOpenClasses",
+			parse: func() (any, error) {
+				return ParseOpenClasses("kind=DU,weight=2,n=3,rf=0.25,pattern=hotspot,hot=0.1,frac=0.7;" +
+					"kind=LRO,pattern=zipf,theta=0.5")
+			},
+			want: []OpenClass{
+				{Type: DistributedUpdate, Weight: 2, Requests: 3, RemoteFrac: 0.25, Pattern: &hot},
+				{Type: LocalReadOnly, Pattern: &zipf},
 			},
 		},
 	}
