@@ -193,37 +193,42 @@ func (f *FaultPlan) validate(nodes int) error {
 		if int(c.Site) < 0 || int(c.Site) >= nodes {
 			return fmt.Errorf("testbed: fault plan crash %d: site %d out of range", i, c.Site)
 		}
-		if c.AtMS < 0 {
-			return fmt.Errorf("testbed: fault plan crash %d: negative time %v", i, c.AtMS)
+		if !finiteNonNeg(c.AtMS) {
+			return fmt.Errorf("testbed: fault plan crash %d: time %v must be finite and non-negative", i, c.AtMS)
 		}
-		if c.DownForMS <= 0 {
-			return fmt.Errorf("testbed: fault plan crash %d: DownForMS must be positive", i)
+		if c.DownForMS <= 0 || !finiteNonNeg(c.DownForMS) {
+			return fmt.Errorf("testbed: fault plan crash %d: DownForMS must be finite and positive", i)
 		}
 	}
-	if f.CrashMTTFMS < 0 || f.CrashMTTRMS < 0 {
-		return fmt.Errorf("testbed: fault plan MTTF/MTTR must be non-negative")
+	if !finiteNonNeg(f.CrashMTTFMS) || !finiteNonNeg(f.CrashMTTRMS) {
+		return fmt.Errorf("testbed: fault plan MTTF/MTTR must be finite and non-negative")
 	}
-	if f.MsgLossProb < 0 || f.MsgLossProb >= 1 {
+	if !finiteNonNeg(f.MsgLossProb) || f.MsgLossProb >= 1 {
 		return fmt.Errorf("testbed: fault plan MsgLossProb %v out of [0,1)", f.MsgLossProb)
 	}
-	if f.MsgExtraDelayProb < 0 || f.MsgExtraDelayProb > 1 {
+	if !finiteNonNeg(f.MsgExtraDelayProb) || f.MsgExtraDelayProb > 1 {
 		return fmt.Errorf("testbed: fault plan MsgExtraDelayProb %v out of [0,1]", f.MsgExtraDelayProb)
 	}
-	if f.PrepareTimeoutMS < 0 || f.LockWaitTimeoutMS < 0 {
-		return fmt.Errorf("testbed: fault plan timeouts must be non-negative")
+	if !finiteNonNeg(f.PrepareTimeoutMS) || !finiteNonNeg(f.LockWaitTimeoutMS) {
+		return fmt.Errorf("testbed: fault plan timeouts must be finite and non-negative")
 	}
-	if f.ProbeLossProb < 0 || f.ProbeLossProb > 1 {
+	if !finiteNonNeg(f.ProbeLossProb) || f.ProbeLossProb > 1 {
 		return fmt.Errorf("testbed: fault plan ProbeLossProb %v out of [0,1]", f.ProbeLossProb)
 	}
-	if f.ProbeLossUntilMS < 0 {
-		return fmt.Errorf("testbed: fault plan ProbeLossUntilMS must be non-negative")
+	if !finiteNonNeg(f.ProbeLossUntilMS) {
+		return fmt.Errorf("testbed: fault plan ProbeLossUntilMS must be finite and non-negative")
+	}
+	// Zero or negative delays take their defaults below; only a non-finite
+	// one is an error.
+	if !finite(f.MsgRetransmitMS, f.MsgExtraDelayMS, f.RetryBackoffMS) {
+		return fmt.Errorf("testbed: fault plan retransmit, extra-delay and retry-backoff times must be finite")
 	}
 	for i, ps := range f.Partitions {
-		if ps.AtMS < 0 {
-			return fmt.Errorf("testbed: fault plan partition %d: negative time %v", i, ps.AtMS)
+		if !finiteNonNeg(ps.AtMS) {
+			return fmt.Errorf("testbed: fault plan partition %d: time %v must be finite and non-negative", i, ps.AtMS)
 		}
-		if ps.HealAfterMS <= 0 {
-			return fmt.Errorf("testbed: fault plan partition %d: HealAfterMS must be positive", i)
+		if ps.HealAfterMS <= 0 || !finiteNonNeg(ps.HealAfterMS) {
+			return fmt.Errorf("testbed: fault plan partition %d: HealAfterMS must be finite and positive", i)
 		}
 		if len(ps.Groups) < 2 {
 			return fmt.Errorf("testbed: fault plan partition %d: needs at least two groups", i)
@@ -241,24 +246,26 @@ func (f *FaultPlan) validate(nodes int) error {
 			}
 		}
 	}
-	if f.PartitionMTBFMS < 0 || f.PartitionMeanMS < 0 {
-		return fmt.Errorf("testbed: fault plan partition MTBF/mean must be non-negative")
+	if !finiteNonNeg(f.PartitionMTBFMS) || !finiteNonNeg(f.PartitionMeanMS) {
+		return fmt.Errorf("testbed: fault plan partition MTBF/mean must be finite and non-negative")
 	}
-	if f.PartitionSplitProb < 0 || f.PartitionSplitProb > 1 {
+	if !finiteNonNeg(f.PartitionSplitProb) || f.PartitionSplitProb > 1 {
 		return fmt.Errorf("testbed: fault plan PartitionSplitProb %v out of [0,1]", f.PartitionSplitProb)
 	}
 	for i, g := range f.GraySites {
 		if int(g.Site) < 0 || int(g.Site) >= nodes {
 			return fmt.Errorf("testbed: fault plan gray failure %d: site %d out of range", i, g.Site)
 		}
-		if g.AtMS < 0 {
-			return fmt.Errorf("testbed: fault plan gray failure %d: negative time %v", i, g.AtMS)
+		if !finiteNonNeg(g.AtMS) {
+			return fmt.Errorf("testbed: fault plan gray failure %d: time %v must be finite and non-negative", i, g.AtMS)
 		}
-		if g.ForMS <= 0 {
-			return fmt.Errorf("testbed: fault plan gray failure %d: ForMS must be positive", i)
+		if g.ForMS <= 0 || !finiteNonNeg(g.ForMS) {
+			return fmt.Errorf("testbed: fault plan gray failure %d: ForMS must be finite and positive", i)
 		}
-		if (g.CPUFactor != 0 && g.CPUFactor < 1) || (g.DiskFactor != 0 && g.DiskFactor < 1) {
-			return fmt.Errorf("testbed: fault plan gray failure %d: factors must be >= 1 (or 0 for unchanged)", i)
+		for _, x := range []float64{g.CPUFactor, g.DiskFactor} {
+			if !finiteNonNeg(x) || x != 0 && x < 1 {
+				return fmt.Errorf("testbed: fault plan gray failure %d: factors must be finite and >= 1 (or 0 for unchanged)", i)
+			}
 		}
 		for j := 0; j < i; j++ {
 			o := f.GraySites[j]
@@ -267,8 +274,8 @@ func (f *FaultPlan) validate(nodes int) error {
 			}
 		}
 	}
-	if f.HeartbeatIntervalMS < 0 || f.SuspectAfterMS < 0 {
-		return fmt.Errorf("testbed: fault plan detector timings must be non-negative")
+	if !finiteNonNeg(f.HeartbeatIntervalMS) || !finiteNonNeg(f.SuspectAfterMS) {
+		return fmt.Errorf("testbed: fault plan detector timings must be finite and non-negative")
 	}
 	if f.PartitionMTBFMS > 0 {
 		if f.PartitionMeanMS == 0 {

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -248,5 +249,79 @@ func TestCrashPathLeavesNoGoroutines(t *testing.T) {
 	if after > baseline+5 {
 		t.Fatalf("goroutines grew from %d to %d over %d faulted runs: the crash path leaks simulation processes",
 			baseline, after, runs)
+	}
+}
+
+// TestFaultsAndResilienceRejectNonFinite pins that every float field of a
+// fault plan and a resilience policy rejects NaN and +Inf at New. Every
+// range check is false for NaN, so without an explicit finiteness check a
+// NaN loss probability ran as no loss, a crash at NaN never fired, and a
+// NaN heartbeat interval ran the failure detector wild.
+func TestFaultsAndResilienceRejectNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	faults := []struct {
+		name string
+		mut  func(*FaultPlan)
+	}{
+		{"CrashMTTFMS +Inf", func(f *FaultPlan) { f.CrashMTTFMS = inf }},
+		{"CrashMTTRMS NaN", func(f *FaultPlan) { f.CrashMTTFMS, f.CrashMTTRMS = 1000, nan }},
+		{"MsgLossProb NaN", func(f *FaultPlan) { f.MsgLossProb = nan }},
+		{"MsgRetransmitMS NaN", func(f *FaultPlan) { f.MsgLossProb, f.MsgRetransmitMS = 0.1, nan }},
+		{"MsgRetransmitMS +Inf", func(f *FaultPlan) { f.MsgLossProb, f.MsgRetransmitMS = 0.1, inf }},
+		{"MsgExtraDelayProb NaN", func(f *FaultPlan) { f.MsgExtraDelayProb = nan }},
+		{"MsgExtraDelayMS +Inf", func(f *FaultPlan) { f.MsgExtraDelayProb, f.MsgExtraDelayMS = 0.1, inf }},
+		{"PrepareTimeoutMS NaN", func(f *FaultPlan) { f.PrepareTimeoutMS = nan }},
+		{"LockWaitTimeoutMS +Inf", func(f *FaultPlan) { f.LockWaitTimeoutMS = inf }},
+		{"RetryBackoffMS NaN", func(f *FaultPlan) { f.RetryBackoffMS = nan }},
+		{"ProbeLossProb NaN", func(f *FaultPlan) { f.ProbeLossProb = nan }},
+		{"ProbeLossUntilMS +Inf", func(f *FaultPlan) { f.ProbeLossUntilMS = inf }},
+		{"PartitionMTBFMS NaN", func(f *FaultPlan) { f.PartitionMTBFMS = nan }},
+		{"PartitionMeanMS +Inf", func(f *FaultPlan) { f.PartitionMTBFMS, f.PartitionMeanMS = 1000, inf }},
+		{"PartitionSplitProb NaN", func(f *FaultPlan) { f.PartitionMTBFMS, f.PartitionSplitProb = 1000, nan }},
+		{"HeartbeatIntervalMS NaN", func(f *FaultPlan) { f.PartitionMTBFMS, f.HeartbeatIntervalMS = 1000, nan }},
+		{"SuspectAfterMS +Inf", func(f *FaultPlan) { f.PartitionMTBFMS, f.SuspectAfterMS = 1000, inf }},
+		{"crash AtMS NaN", func(f *FaultPlan) { f.Crashes = []SiteCrash{{Site: 1, AtMS: nan, DownForMS: 1000}} }},
+		{"crash AtMS +Inf", func(f *FaultPlan) { f.Crashes = []SiteCrash{{Site: 1, AtMS: inf, DownForMS: 1000}} }},
+		{"crash DownForMS NaN", func(f *FaultPlan) { f.Crashes = []SiteCrash{{Site: 1, AtMS: 1000, DownForMS: nan}} }},
+		{"crash DownForMS +Inf", func(f *FaultPlan) { f.Crashes = []SiteCrash{{Site: 1, AtMS: 1000, DownForMS: inf}} }},
+		{"partition AtMS NaN", func(f *FaultPlan) {
+			f.Partitions = []PartitionSchedule{{Groups: [][]NodeID{{0}, {1}}, AtMS: nan, HealAfterMS: 1000}}
+		}},
+		{"partition HealAfterMS +Inf", func(f *FaultPlan) {
+			f.Partitions = []PartitionSchedule{{Groups: [][]NodeID{{0}, {1}}, AtMS: 1000, HealAfterMS: inf}}
+		}},
+		{"gray AtMS NaN", func(f *FaultPlan) { f.GraySites = []GrayFailure{{Site: 1, AtMS: nan, ForMS: 1000, CPUFactor: 2}} }},
+		{"gray ForMS +Inf", func(f *FaultPlan) { f.GraySites = []GrayFailure{{Site: 1, AtMS: 0, ForMS: inf, CPUFactor: 2}} }},
+		{"gray CPUFactor NaN", func(f *FaultPlan) { f.GraySites = []GrayFailure{{Site: 1, AtMS: 0, ForMS: 1000, CPUFactor: nan}} }},
+		{"gray DiskFactor +Inf", func(f *FaultPlan) { f.GraySites = []GrayFailure{{Site: 1, AtMS: 0, ForMS: 1000, DiskFactor: inf}} }},
+	}
+	for _, tc := range faults {
+		cfg := faultTestConfig(1)
+		cfg.Faults = &FaultPlan{}
+		tc.mut(cfg.Faults)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("fault plan %s: accepted", tc.name)
+		}
+	}
+	resilience := []struct {
+		name string
+		r    Resilience
+	}{
+		{"BaseBackoffMS +Inf", Resilience{Retry: RetryPolicy{BaseBackoffMS: inf}}},
+		{"MaxBackoffMS NaN", Resilience{Retry: RetryPolicy{BaseBackoffMS: 10, MaxBackoffMS: nan}}},
+		{"Multiplier NaN", Resilience{Retry: RetryPolicy{BaseBackoffMS: 10, Multiplier: nan}}},
+		{"Multiplier +Inf", Resilience{Retry: RetryPolicy{BaseBackoffMS: 10, Multiplier: inf}}},
+		{"JitterFrac NaN", Resilience{Retry: RetryPolicy{BaseBackoffMS: 10, JitterFrac: nan}}},
+		{"AbortRateThreshold NaN", Resilience{Admission: AdmissionPolicy{MaxMPL: 2, AbortRateThreshold: nan}}},
+		{"WindowMS +Inf", Resilience{Admission: AdmissionPolicy{MaxMPL: 2, AbortRateThreshold: 1, WindowMS: inf}}},
+		{"ShedBackoffMS NaN", Resilience{Admission: AdmissionPolicy{MaxMPL: 2, Shed: true, ShedBackoffMS: nan}}},
+		{"ProbeRetryMS +Inf", Resilience{ProbeRetryMS: inf}},
+	}
+	for _, tc := range resilience {
+		cfg := faultTestConfig(1)
+		cfg.Resilience = tc.r
+		if _, err := New(cfg); err == nil {
+			t.Errorf("resilience %s: accepted", tc.name)
+		}
 	}
 }

@@ -130,10 +130,10 @@ func (r *Resilience) validate() error {
 	if r.Retry.MaxAttempts < 0 {
 		return fmt.Errorf("testbed: resilience MaxAttempts must be non-negative")
 	}
-	if r.Retry.BaseBackoffMS < 0 || r.Retry.MaxBackoffMS < 0 {
-		return fmt.Errorf("testbed: resilience backoff times must be non-negative")
+	if !finiteNonNeg(r.Retry.BaseBackoffMS) || !finiteNonNeg(r.Retry.MaxBackoffMS) {
+		return fmt.Errorf("testbed: resilience backoff times must be finite and non-negative")
 	}
-	if r.Retry.JitterFrac < 0 || r.Retry.JitterFrac > 1 {
+	if !finiteNonNeg(r.Retry.JitterFrac) || r.Retry.JitterFrac > 1 {
 		return fmt.Errorf("testbed: resilience JitterFrac %v out of [0,1]", r.Retry.JitterFrac)
 	}
 	if r.Retry.BaseBackoffMS > 0 {
@@ -154,8 +154,13 @@ func (r *Resilience) validate() error {
 	if r.Admission.MaxMPL < 0 {
 		return fmt.Errorf("testbed: resilience MaxMPL must be non-negative")
 	}
-	if r.Admission.AbortRateThreshold < 0 {
-		return fmt.Errorf("testbed: resilience AbortRateThreshold must be non-negative")
+	if !finiteNonNeg(r.Admission.AbortRateThreshold) {
+		return fmt.Errorf("testbed: resilience AbortRateThreshold must be finite and non-negative")
+	}
+	// A zero or negative multiplier, window or shed backoff takes its
+	// default below; only a non-finite one is an error.
+	if !finite(r.Retry.Multiplier, r.Admission.WindowMS, r.Admission.ShedBackoffMS) {
+		return fmt.Errorf("testbed: resilience Multiplier, WindowMS and ShedBackoffMS must be finite")
 	}
 	if r.Admission.MaxMPL > 0 {
 		if r.Admission.WindowMS <= 0 {
@@ -165,8 +170,8 @@ func (r *Resilience) validate() error {
 			r.Admission.ShedBackoffMS = 100
 		}
 	}
-	if r.ProbeRetryMS < 0 {
-		return fmt.Errorf("testbed: resilience ProbeRetryMS must be non-negative")
+	if !finiteNonNeg(r.ProbeRetryMS) {
+		return fmt.Errorf("testbed: resilience ProbeRetryMS must be finite and non-negative")
 	}
 	return nil
 }
