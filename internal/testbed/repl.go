@@ -253,12 +253,7 @@ func (u *user) failoverRead(p *sim.Proc, st *txnState, owner *node, grans []int)
 		if serve == nil {
 			// Every copy's site is down, unreachable, or minority-side:
 			// the read is unavailable.
-			cause := sys.unavailableCause()
-			if st.cause == nil {
-				st.cause = cause
-			}
-			st.doomed = true
-			return cause
+			return st.doom(sys.unavailableCause())
 		}
 		st.noteFailover(serve)
 		st.activeNode = serve.id
@@ -267,15 +262,10 @@ func (u *user) failoverRead(p *sim.Proc, st *txnState, owner *node, grans []int)
 		if serve.down || !sys.reachable(home.id, serve.id) {
 			// Crashed — or partitioned away — while the request was in
 			// flight.
-			cause := errSiteCrash
-			if !serve.down {
-				cause = errPartitioned
+			if serve.down {
+				return st.doom(errSiteCrash)
 			}
-			if st.cause == nil {
-				st.cause = cause
-			}
-			st.doomed = true
-			return cause
+			return st.doom(errPartitioned)
 		}
 		must(serve, serve.tmStep(p, rcosts.TMCPU))
 		// The request's DM, LR, access, DMIO and I/O steps for this one
@@ -332,12 +322,7 @@ func (u *user) quorumRead(p *sim.Proc, st *txnState, serve *node, owner NodeID, 
 	}
 	if need > 0 {
 		// Fewer than a quorum of copies are reachable.
-		cause := sys.unavailableCause()
-		if st.cause == nil {
-			st.cause = cause
-		}
-		st.doomed = true
-		return cause
+		return st.doom(sys.unavailableCause())
 	}
 	return nil
 }

@@ -61,6 +61,16 @@ type txnState struct {
 	protoHeld []*node
 }
 
+// doom marks the transaction doomed, recording cause unless an earlier
+// cause is already recorded, and returns the recorded cause.
+func (st *txnState) doom(cause error) error {
+	if st.cause == nil {
+		st.cause = cause
+	}
+	st.doomed = true
+	return st.cause
+}
+
 // replWrite identifies one written granule by its owning site.
 type replWrite struct {
 	owner   NodeID

@@ -291,10 +291,7 @@ func (u *user) attempt(p *sim.Proc) attemptOutcome {
 			// Partitioned away since the pre-submission check and no
 			// failover path: the INIT message cannot be delivered. The doom
 			// is noticed at the next phase boundary, like a crash.
-			if st.cause == nil {
-				st.cause = errPartitioned
-			}
-			st.doomed = true
+			st.doom(errPartitioned)
 			u.dropSkippedCC(st, remote)
 			continue
 		}
@@ -759,11 +756,7 @@ func (c *reqChain) Next() (*sim.Resource, float64) {
 			if !sys.reachable(c.home.id, nd.id) {
 				// Partitioned away mid-submission: the REMDO cannot be
 				// delivered.
-				if st.cause == nil {
-					st.cause = errPartitioned
-				}
-				st.doomed = true
-				return c.fail(errPartitioned)
+				return c.fail(st.doom(errPartitioned))
 			}
 			c.at = reqSlaveIn
 			if r, d := c.hop(c.home, nd, requestMsgBytes); r != nil {
@@ -957,14 +950,10 @@ func (s *System) cutOff(st *txnState, nd *node) error {
 	if s.faults == nil || (!nd.down && s.reachable(st.home, nd.id)) {
 		return nil
 	}
-	if st.cause == nil {
-		st.cause = errSiteCrash
-		if !nd.down {
-			st.cause = errPartitioned
-		}
+	if nd.down {
+		return st.doom(errSiteCrash)
 	}
-	st.doomed = true
-	return st.cause
+	return st.doom(errPartitioned)
 }
 
 // decide makes one granule access through the site's cc.Protocol engine:
@@ -1186,10 +1175,7 @@ func (u *user) twoPhaseCommit(p *sim.Proc, st *txnState, home *node, slaves []*n
 
 	// Phase 1: PREPARE processed in parallel at the slaves.
 	if err := u.fanOutPrepare(p, st, home, slaves); err != nil {
-		if st.cause == nil {
-			st.cause = err
-		}
-		st.doomed = true
+		st.doom(err)
 		if err == errPrepareTimeout {
 			sys.trace(st.gid, kind, home.id, EvTimeoutAbort, -1)
 		}
