@@ -250,7 +250,7 @@ func closedBoundAndMix(wl workload.Workload) (float64, []testbed.OpenClass, []fl
 		return 0, nil, nil, fmt.Errorf("experiment: model reports no utilization")
 	}
 	var mix []testbed.OpenClass
-	for _, k := range []testbed.TxnKind{testbed.LRO, testbed.LU, testbed.DRO, testbed.DU} {
+	for _, k := range testbed.TxnKinds {
 		if weight[k] > 0 {
 			mix = append(mix, testbed.OpenClass{Kind: k, Weight: weight[k]})
 		}

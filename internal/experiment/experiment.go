@@ -133,7 +133,7 @@ func modelPerType(c *Comparison, node int) map[string]float64 {
 // (txn/s) at a node.
 func measuredPerType(c *Comparison, node int) map[string]float64 {
 	out := map[string]float64{}
-	for _, k := range []testbed.TxnKind{testbed.LRO, testbed.LU, testbed.DRO, testbed.DU} {
+	for _, k := range testbed.TxnKinds {
 		out[k.String()] = c.Measured.Nodes[node].TxnThroughput[k]
 	}
 	return out

@@ -136,7 +136,7 @@ func simulate(wl workload.Workload, seed uint64, opts SimOptions, cell string) (
 func commitTotals(res testbed.Results) (subs, commits int64, meanResponseMS float64) {
 	var weighted float64
 	for _, nr := range res.Nodes {
-		for _, k := range []testbed.TxnKind{testbed.LRO, testbed.LU, testbed.DRO, testbed.DU} {
+		for _, k := range testbed.TxnKinds {
 			subs += nr.Submissions[k]
 			commits += nr.Commits[k]
 			weighted += nr.MeanResponse[k] * float64(nr.Commits[k])

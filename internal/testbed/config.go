@@ -44,6 +44,13 @@ const (
 	DU
 )
 
+// TxnKinds lists the four kinds in enum order, the order every per-kind
+// table and report walks them in.
+var TxnKinds = [...]TxnKind{LRO, LU, DRO, DU}
+
+// numKinds sizes the per-kind arrays, indexed by TxnKind.
+const numKinds = len(TxnKinds)
+
 // String returns the paper's abbreviation for the kind.
 func (k TxnKind) String() string {
 	switch k {
@@ -184,7 +191,7 @@ func DefaultParams(nodes int) Params {
 	}
 	for n := 0; n < nodes; n++ {
 		byKind := make(map[TxnKind]PhaseCosts)
-		for _, k := range []TxnKind{LRO, LU, DRO, DU} {
+		for _, k := range TxnKinds {
 			tm := 8.0
 			if k.Distributed() {
 				tm = 12.0

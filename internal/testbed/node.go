@@ -35,8 +35,8 @@ type node struct {
 	// costs[k] are the site's phase costs for kind k, resolved from Params
 	// once so the per-request paths do no map lookups. hasCosts[k] is false
 	// for a pair Params lacks; costsFor still panics on it.
-	costs    [4]PhaseCosts
-	hasCosts [4]bool
+	costs    [numKinds]PhaseCosts
+	hasCosts [numKinds]bool
 
 	// ccp is the site's concurrency-control engine behind the cc.Protocol
 	// interface; the typed fields below expose the one concrete engine the
@@ -65,13 +65,13 @@ type node struct {
 	downSince float64
 	upEv      *sim.Event
 
-	// Measurement state.
-	commitRate  map[TxnKind]*stats.WindowedRate // non-nil after warmup
-	commits     map[TxnKind]*stats.Counter
-	recordsDone map[TxnKind]*stats.Counter
-	respTime    map[TxnKind]*stats.Tally
-	respHist    map[TxnKind]*stats.Histogram
-	submissions map[TxnKind]*stats.Counter
+	// Measurement state; the per-kind arrays are indexed by TxnKind.
+	commitRate  [numKinds]*stats.WindowedRate // non-nil after warmup
+	commits     [numKinds]stats.Counter
+	recordsDone [numKinds]stats.Counter
+	respTime    [numKinds]stats.Tally
+	respHist    [numKinds]*stats.Histogram
+	submissions [numKinds]stats.Counter
 	lockWaits   stats.Tally
 	deadlocks   stats.Counter
 	globalDead  stats.Counter
@@ -132,11 +132,6 @@ func newNode(sys *System, id NodeID, cfg NodeConfig, layout storage.Layout, r *r
 		store:       storage.NewStore(layout),
 		journal:     wal.NewLog(),
 		grantEv:     make(map[int64]*sim.Event),
-		commits:     make(map[TxnKind]*stats.Counter),
-		recordsDone: make(map[TxnKind]*stats.Counter),
-		respTime:    make(map[TxnKind]*stats.Tally),
-		respHist:    make(map[TxnKind]*stats.Histogram),
-		submissions: make(map[TxnKind]*stats.Counter),
 		replVersion: make(map[int]int64),
 	}
 	for s := 0; s < cfg.DBDiskStripes; s++ {
@@ -149,13 +144,9 @@ func newNode(sys *System, id NodeID, cfg NodeConfig, layout storage.Layout, r *r
 		n.logDisk = n.dbDisks[0]
 	}
 	n.initCC()
-	for _, k := range []TxnKind{LRO, LU, DRO, DU} {
+	for _, k := range TxnKinds {
 		n.costs[k], n.hasCosts[k] = sys.cfg.Params.Costs[id][k]
-		n.commits[k] = &stats.Counter{}
-		n.recordsDone[k] = &stats.Counter{}
-		n.respTime[k] = &stats.Tally{}
 		n.respHist[k] = stats.NewHistogram(1, 1.05) // ms buckets, ~5% error
-		n.submissions[k] = &stats.Counter{}
 	}
 	return n
 }
@@ -264,7 +255,7 @@ func (n *node) tmStep(p *sim.Proc, cpuTime float64) error {
 // feeding both the plain counter and the batch-means rate estimator.
 func (n *node) recordCommit(k TxnKind, t float64) {
 	n.commits[k].Inc()
-	if wr, ok := n.commitRate[k]; ok {
+	if wr := n.commitRate[k]; wr != nil {
 		wr.Add(t)
 	}
 	if n.sys.downCount > 0 {
@@ -299,11 +290,8 @@ func (n *node) resetStats(t float64) {
 		n.logDisk.ResetStats(t)
 	}
 	window := (n.sys.cfg.Duration - n.sys.cfg.Warmup) / 20
-	for _, k := range []TxnKind{LRO, LU, DRO, DU} {
+	for _, k := range TxnKinds {
 		if window > 0 {
-			if n.commitRate == nil {
-				n.commitRate = make(map[TxnKind]*stats.WindowedRate)
-			}
 			n.commitRate[k] = stats.NewWindowedRate(window, t)
 		}
 		n.commits[k].ResetAt(t)

@@ -230,10 +230,10 @@ func (s *System) collect(t float64) Results {
 			Commits:       make(map[TxnKind]int64),
 			Submissions:   make(map[TxnKind]int64),
 		}
-		for _, k := range []TxnKind{LRO, LU, DRO, DU} {
+		for _, k := range TxnKinds {
 			x := n.commits[k].Rate(t) * 1000 // per ms -> per s
 			nr.TxnThroughput[k] = x
-			if wr, ok := n.commitRate[k]; ok {
+			if wr := n.commitRate[k]; wr != nil {
 				_, half := wr.Rate(t)
 				nr.ThroughputCI[k] = half * 1000
 			}
@@ -302,7 +302,7 @@ func (s *System) collect(t float64) Results {
 			agg := stats.NewHistogram(1, 1.05)
 			var sum float64
 			var cnt int64
-			for _, k := range []TxnKind{LRO, LU, DRO, DU} {
+			for _, k := range TxnKinds {
 				agg.Merge(n.respHist[k])
 				sum += n.respTime[k].Sum()
 				cnt += n.respTime[k].N()
