@@ -70,20 +70,10 @@
 // shaped by -zipftheta).
 //
 // The -faults argument is a comma-separated list of key=value settings:
-//
-//	crash=SITE@AT+DOWN  crash site SITE at AT ms for DOWN ms (repeatable)
-//	mttf=MS             random crashes: mean time to failure per site
-//	mttr=MS             mean outage before restart recovery (default 5000)
-//	loss=P              per-message loss probability in [0,1)
-//	retrans=MS          retransmission delay per lost message (default 10)
-//	delayp=P            probability of extra delay on a hop
-//	delayms=MS          mean of the extra exponential delay (default 5)
-//	prepto=MS           2PC prepare timeout (presumed abort on expiry)
-//	lockto=MS           lock wait timeout
-//	backoff=MS          user retry backoff while a slave site is down
-//	probeloss=P         per-probe loss probability in [0,1] (no retransmit)
-//	probeout=MS         drop every inter-site probe before this instant
-//	fseed=N             fault RNG seed (default: fixed stream)
+// explicit crashes (crash=SITE@AT+DOWN, repeatable), a random crash
+// process, message loss and extra delay, protocol timeouts, deadlock-probe
+// loss and the fault seed. carat.ParseFaultPlan lists every key with its
+// default.
 //
 // The -partition argument schedules network partitions (semicolon-
 // separated; see carat.ParsePartitions). Each entry is either a split
@@ -102,27 +92,12 @@
 // service times stretched 3x and disk 2x from t=60 s for 30 s. A single
 // factor ('1@60000+30000*3') degrades both resources.
 //
-// The -resilience argument configures retry, admission control and probe
-// retransmission (see carat.ParseResilience):
-//
-//	retries=N       submissions per transaction before abandoning (0 = unlimited)
-//	backoff=MS      base exponential backoff between resubmissions
-//	maxbackoff=MS   backoff cap (default 32× base)
-//	mult=X          backoff multiplier (default 2)
-//	jitter=F        symmetric backoff jitter fraction in [0,1]
-//	mpl=N           per-site admission cap (0 = no gate)
-//	abortrate=R     engage the gate only above R aborts/s (0 = always)
-//	window=MS       abort-rate measurement window (default 1000)
-//	shed=BOOL       reject excess arrivals instead of queueing them
-//	shedbackoff=MS  re-arrival delay for shed arrivals (default 100)
-//	probe=MS        re-initiate deadlock probes every MS while blocked
-//
-// The -repl argument replicates every granule across sites (primary-copy
-// two-phase locking with write-all-available propagation; see
-// carat.ParseReplication):
-//
-//	R=N        replication factor (copies per granule; 1 = off)
-//	read=MODE  read policy: one (default) or quorum
+// The -resilience argument configures retry with backoff, per-site
+// admission control and deadlock-probe retransmission (see
+// carat.ParseResilience for the keys and their defaults). The -repl
+// argument replicates every granule across sites: primary-copy two-phase
+// locking with write-all-available propagation, a factor R=N and a read
+// policy read=one or read=quorum (see carat.ParseReplication).
 //
 // With -chaos N the tool instead runs N simulations under randomized
 // bounded fault plans and resilience policies, audits each against the
