@@ -241,6 +241,16 @@ const (
 	QueCC             ConcurrencyControl = "quecc"
 )
 
+// ccNames are the facade's protocol names, indexed by cc.Paradigm.
+var ccNames = [...]ConcurrencyControl{
+	cc.TwoPhaseDetect:    TwoPhaseLocking,
+	cc.TwoPhaseWaitDie:   WaitDie,
+	cc.TwoPhaseWoundWait: WoundWait,
+	cc.TimestampOrdering: TimestampOrdering,
+	cc.Optimistic:        OptimisticCC,
+	cc.QueueOrdered:      QueCC,
+}
+
 // ParseConcurrencyControl resolves a user-supplied protocol name —
 // case-insensitively, accepting the canonical names and common aliases
 // ("optimistic", "deterministic", "to", …). Unknown names return an error
@@ -251,39 +261,16 @@ func ParseConcurrencyControl(name string) (ConcurrencyControl, error) {
 	if err != nil {
 		return "", err
 	}
-	switch p {
-	case cc.TwoPhaseWaitDie:
-		return WaitDie, nil
-	case cc.TwoPhaseWoundWait:
-		return WoundWait, nil
-	case cc.TimestampOrdering:
-		return TimestampOrdering, nil
-	case cc.Optimistic:
-		return OptimisticCC, nil
-	case cc.QueueOrdered:
-		return QueCC, nil
-	default:
-		return TwoPhaseLocking, nil
-	}
+	return ccNames[p], nil
 }
 
-// protocol maps the facade name to the testbed's protocol enum.
-// Unrecognized values fall back to the paper's 2PL default.
-func (c ConcurrencyControl) protocol() testbed.CCProtocol {
-	switch c {
-	case WaitDie:
-		return testbed.CCWaitDie
-	case WoundWait:
-		return testbed.CCWoundWait
-	case TimestampOrdering:
-		return testbed.CCTimestamp
-	case OptimisticCC:
-		return testbed.CCOCC
-	case QueCC:
-		return testbed.CCQueCC
-	default:
-		return testbed.CC2PL
+// protocol maps the facade name to its paradigm. Only the exact names in
+// ccNames match; anything else falls back to the paper's 2PL default.
+func (c ConcurrencyControl) protocol() cc.Paradigm {
+	if i := slices.Index(ccNames[:], c); i >= 0 {
+		return cc.Paradigm(i)
 	}
+	return cc.TwoPhaseDetect
 }
 
 // WithConcurrencyControl selects the simulator's protocol. Unrecognized
@@ -904,6 +891,10 @@ func (w Workload) WithoutClosedUsers() Workload {
 	return w
 }
 
+// shapePattern names the access pattern that reads each shape key of
+// ParseOpenClasses.
+var shapePattern = map[string]string{"hot": "hotspot", "frac": "hotspot", "theta": "zipf"}
+
 // ParseOpenClasses parses the command-line open-mix syntax (caratsim
 // -classes): classes separated by ';', each a comma-separated list of
 // key=value settings:
@@ -917,12 +908,21 @@ func (w Workload) WithoutClosedUsers() Workload {
 //	frac=F         hotspot: share of accesses aimed at the hot set (default 0.8)
 //	theta=F        zipf: skew exponent (default 0.99)
 //
+// hot and frac need pattern=hotspot, theta pattern=zipf.
+//
 // Example: 'kind=LRO,weight=3;kind=DU,weight=1,n=4,rf=0.25,pattern=zipf'.
 func ParseOpenClasses(s string) ([]OpenClass, error) {
 	var out []OpenClass
 	for _, spec := range fields(s, ";") {
 		var c OpenClass
 		pattern, hot, frac, theta := "", 0.2, 0.8, 0.99
+		var shapeKeys []string // the hot, frac and theta keys given
+		shape := func(key string, p *float64) func(string) error {
+			return func(v string) error {
+				shapeKeys = append(shapeKeys, key)
+				return set(p, parseFloat, v)
+			}
+		}
 		err := parseSettings("classes", spec, ",", map[string]any{
 			"kind": func(v string) error {
 				c.Type = TxnType(v)
@@ -933,12 +933,17 @@ func ParseOpenClasses(s string) ([]OpenClass, error) {
 			"n":       &c.Requests,
 			"rf":      &c.RemoteFrac,
 			"pattern": func(v string) error { pattern = v; return nil },
-			"hot":     &hot,
-			"frac":    &frac,
-			"theta":   &theta,
+			"hot":     shape("hot", &hot),
+			"frac":    shape("frac", &frac),
+			"theta":   shape("theta", &theta),
 		})
 		if err != nil {
 			return nil, err
+		}
+		for _, key := range shapeKeys {
+			if want := shapePattern[key]; pattern != want {
+				return nil, fmt.Errorf("classes: %q: %s applies only with pattern=%s", spec, key, want)
+			}
 		}
 		if c.Type == "" {
 			return nil, fmt.Errorf("classes: %q needs kind=TYPE", spec)
@@ -1409,7 +1414,7 @@ type CCComparisonReport struct {
 // QueCC and OCC. Simulation-only (the analytical model covers 2PL alone);
 // results are bit-identical for any opts.Workers.
 func CompareConcurrencyControls(protocols []ConcurrencyControl, mpls []int, opts SimOptions) (*CCComparisonReport, error) {
-	var prots []testbed.CCProtocol
+	var prots []cc.Paradigm
 	if len(protocols) == 0 {
 		prots = experiment.DefaultCCProtocols()
 	} else {

@@ -524,12 +524,12 @@ func TestWithThinkTimeDoesNotMutateReceiver(t *testing.T) {
 }
 
 func TestParseOpenClasses(t *testing.T) {
-	mix, err := ParseOpenClasses("kind=LRO,weight=3;kind=DU,weight=1,n=4,rf=0.25,pattern=zipf,theta=0.8")
+	mix, err := ParseOpenClasses("kind=LRO,weight=3;kind=DU,weight=1,n=4,rf=0.25,pattern=zipf,theta=0.8;kind=LU,hot=0.1,frac=0.9,pattern=hotspot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mix) != 2 {
-		t.Fatalf("classes = %d, want 2", len(mix))
+	if len(mix) != 3 {
+		t.Fatalf("classes = %d, want 3", len(mix))
 	}
 	if mix[0].Type != LocalReadOnly || mix[0].Weight != 3 || mix[0].Pattern != nil {
 		t.Fatalf("first class: %+v", mix[0])
@@ -540,6 +540,7 @@ func TestParseOpenClasses(t *testing.T) {
 	for _, bad := range []string{
 		"", "weight=2", "kind=XYZ", "kind=LU,weight", "kind=LU,n=x",
 		"kind=LU,bogus=1", "kind=LU,pattern=spiral",
+		"kind=LU,theta=7", "kind=LU,hot=0.1", "kind=LU,pattern=zipf,frac=0.5", "kind=LU,theta=2,pattern=hotspot",
 	} {
 		if _, err := ParseOpenClasses(bad); err == nil {
 			t.Errorf("ParseOpenClasses(%q) accepted", bad)

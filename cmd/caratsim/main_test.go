@@ -173,14 +173,16 @@ func TestNumericFlagsStrict(t *testing.T) {
 			t.Errorf("%q: err = %v, want it to name %q", tc.args, err, tc.want)
 		}
 	}
-	// Rates that pass parsing as plain floats are refused when the workload
-	// is built or simulated, before any simulated time elapses.
+	// Rates and pattern shapes that pass parsing as plain floats are refused
+	// when the workload is built or simulated, before any simulated time
+	// elapses.
 	if c, err := parse("-sites 16 -lambda NaN"); err != nil {
 		t.Fatal(err)
 	} else if _, err := c.build(8); err == nil || !strings.Contains(err.Error(), "arrival rate") {
 		t.Errorf("-sites 16 -lambda NaN: build err = %v", err)
 	}
-	for _, args := range []string{"-open -lambda Inf", "-open -lambda NaN", "-open -burstfactor Inf -burston 10 -burstoff 10"} {
+	for _, args := range []string{"-open -lambda Inf", "-open -lambda NaN", "-open -burstfactor Inf -burston 10 -burstoff 10",
+		"-pattern hotspot -hot 5", "-pattern hotspot -hotfrac -2", "-pattern zipf -zipftheta NaN"} {
 		wl := built(t, args)
 		if _, err := carat.Simulate(wl, carat.SimOptions{Seed: 1, WarmupMS: 1, DurationMS: 1000}); err == nil {
 			t.Errorf("%q: simulated", args)

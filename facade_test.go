@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"carat/internal/cc"
 )
 
 func TestWorkloadUB6Facade(t *testing.T) {
@@ -208,6 +210,19 @@ func TestParseConcurrencyControl(t *testing.T) {
 			t.Fatalf("ParseConcurrencyControl(%q) = %q, want %q", name, got, want)
 		}
 	}
+	// Every paradigm has a facade name that maps back to it; a name that
+	// is not exactly one of them falls back to 2PL, as
+	// WithConcurrencyControl documents.
+	for _, name := range cc.Names() {
+		want, _ := cc.Parse(name)
+		c, err := ParseConcurrencyControl(name)
+		if err != nil || c.protocol() != want {
+			t.Errorf("ParseConcurrencyControl(%q) = %q, %v: maps to %v, want %v", name, c, err, c.protocol(), want)
+		}
+	}
+	if p := ConcurrencyControl("OCC").protocol(); p != cc.TwoPhaseDetect {
+		t.Errorf("inexact name OCC maps to %v, want the 2PL fallback", p)
+	}
 	for _, bad := range []string{"", "2pc", "mvcc", "locking"} {
 		_, err := ParseConcurrencyControl(bad)
 		if err == nil {
@@ -308,6 +323,8 @@ func TestFacadeRejectsNonFinite(t *testing.T) {
 	_, parsers["open lambda NaN"] = Simulate(open.WithOpenArrivals(OpenArrivals{LambdaPerSec: math.NaN()}), opts)
 	_, parsers["open lambda Inf"] = Simulate(open.WithOpenArrivals(OpenArrivals{LambdaPerSec: math.Inf(1)}), opts)
 	_, parsers["capacity lambda NaN"] = CapacitySweep(WorkloadMB4(8), []float64{math.NaN()}, opts)
+	_, parsers["hotspot hot=5 frac=-2"] = Simulate(WorkloadMB4(8).WithHotspot(5, -2), opts)
+	_, parsers["zipf theta NaN"] = Simulate(WorkloadMB4(8).WithZipf(math.NaN()), opts)
 	for name, err := range parsers {
 		if err == nil {
 			t.Errorf("%s: accepted", name)

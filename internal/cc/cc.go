@@ -2,13 +2,13 @@
 // the Protocol interface the testbed drives for every granule access —
 // admission, block/abort/restart decisions, commit-time validation and
 // end-of-transaction release — plus per-paradigm capability flags that
-// tell the testbed which machinery (lock-wait parking, Chandy–Misra
-// deadlock probes, validation aborts) a paradigm actually needs.
+// tell the testbed which machinery (Chandy–Misra deadlock probes, wounds,
+// validation aborts, submission-time plans) a paradigm actually needs.
 //
-// The 2PL family (detection, wait-die, wound-wait) and basic timestamp
-// ordering are adapted here from the existing internal/lock and
-// internal/tso engines; the optimistic and queue-oriented deterministic
-// paradigms live in the cc/occ and cc/quecc subpackages. The paradigm
+// The 2PL family (detection, wait-die, wound-wait) is adapted here from
+// the internal/lock engine; basic timestamp ordering (internal/tso), the
+// optimistic validator (cc/occ) and the queue-oriented deterministic
+// scheduler (cc/quecc) implement Protocol directly. The paradigm
 // set answers the dispute in the literature the paper cites (locking vs
 // timestamp ordering, and later deterministic execution) under one
 // simulator with identical assumptions.
@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"carat/internal/lock"
-	"carat/internal/tso"
 )
 
 // TxnID is a global transaction identifier; GranuleID a database block
@@ -30,20 +29,23 @@ type (
 	GranuleID int
 )
 
-// Paradigm enumerates the supported concurrency-control paradigms. The
-// values deliberately match testbed.CCProtocol so configurations convert
-// by plain conversion.
+// Paradigm enumerates the supported concurrency-control paradigms. It is
+// the one declaration of them: the testbed, the workloads and the facade
+// all select a paradigm by these values.
 type Paradigm int
 
 const (
 	// TwoPhaseDetect is 2PL with local + Chandy–Misra global deadlock
 	// detection — the paper's scheme and the byte-pinned default.
 	TwoPhaseDetect Paradigm = iota
-	// TwoPhaseWaitDie is 2PL with wait-die prevention.
+	// TwoPhaseWaitDie is 2PL with wait-die prevention: a requester
+	// younger than a conflicting holder aborts instead of waiting.
 	TwoPhaseWaitDie
-	// TwoPhaseWoundWait is 2PL with wound-wait prevention.
+	// TwoPhaseWoundWait is 2PL with wound-wait prevention: an older
+	// requester aborts younger conflicting holders.
 	TwoPhaseWoundWait
-	// TimestampOrdering is basic TO (no blocking, restart on conflict).
+	// TimestampOrdering is basic TO: no locks, no blocking; late
+	// accesses abort and restart with a fresh timestamp.
 	TimestampOrdering
 	// Optimistic is OCC: execute without blocking, track read/write
 	// sets, backward-validate at commit.
@@ -56,32 +58,29 @@ const (
 	numParadigms
 )
 
-// String names the paradigm, matching the historical testbed names for
-// the first four.
+// Valid reports whether p is one of the declared paradigms.
+func (p Paradigm) Valid() bool { return p >= 0 && p < numParadigms }
+
+// paradigmNames are the canonical names, indexed by Paradigm.
+var paradigmNames = [numParadigms]string{
+	TwoPhaseDetect:    "2PL-detect",
+	TwoPhaseWaitDie:   "2PL-wait-die",
+	TwoPhaseWoundWait: "2PL-wound-wait",
+	TimestampOrdering: "basic-TO",
+	Optimistic:        "OCC",
+	QueueOrdered:      "QueCC",
+}
+
+// String names the paradigm.
 func (p Paradigm) String() string {
-	switch p {
-	case TwoPhaseDetect:
-		return "2PL-detect"
-	case TwoPhaseWaitDie:
-		return "2PL-wait-die"
-	case TwoPhaseWoundWait:
-		return "2PL-wound-wait"
-	case TimestampOrdering:
-		return "basic-TO"
-	case Optimistic:
-		return "OCC"
-	case QueueOrdered:
-		return "QueCC"
-	default:
+	if !p.Valid() {
 		return fmt.Sprintf("cc(%d)", int(p))
 	}
+	return paradigmNames[p]
 }
 
 // Capabilities describes what machinery a paradigm needs from its host.
 type Capabilities struct {
-	// Blocks: accesses may queue and park awaiting a grant (the host
-	// must provide the lock-wait/wakeup machinery).
-	Blocks bool
 	// Deadlocks: waits-for cycles are possible, so the Chandy–Misra
 	// probe detector and its retransmission policy must be armed. Only
 	// 2PL with detection has this; prevention, TO, OCC and QueCC are
@@ -99,34 +98,25 @@ type Capabilities struct {
 	Deterministic bool
 }
 
-// Capabilities returns the paradigm's capability flags.
+// Capabilities returns the paradigm's capability flags (none for an
+// invalid paradigm).
 func (p Paradigm) Capabilities() Capabilities {
 	switch p {
 	case TwoPhaseDetect:
-		return Capabilities{Blocks: true, Deadlocks: true}
-	case TwoPhaseWaitDie:
-		return Capabilities{Blocks: true}
+		return Capabilities{Deadlocks: true}
 	case TwoPhaseWoundWait:
-		return Capabilities{Blocks: true, Wounds: true}
-	case TimestampOrdering:
-		return Capabilities{}
+		return Capabilities{Wounds: true}
 	case Optimistic:
 		return Capabilities{ValidatesAtCommit: true}
 	case QueueOrdered:
-		return Capabilities{Blocks: true, Deterministic: true}
+		return Capabilities{Deterministic: true}
 	default:
 		return Capabilities{}
 	}
 }
 
 // Names lists the canonical paradigm names, for error messages.
-func Names() []string {
-	out := make([]string, numParadigms)
-	for p := Paradigm(0); p < numParadigms; p++ {
-		out[p] = p.String()
-	}
-	return out
-}
+func Names() []string { return append([]string(nil), paradigmNames[:]...) }
 
 // Parse resolves a paradigm name case-insensitively, accepting the
 // canonical names plus common aliases. Unknown names return an error
@@ -173,8 +163,8 @@ type Decision struct {
 }
 
 // Protocol is one site's concurrency-control engine, driven synchronously
-// by the testbed's processes (like the lock and TO managers it
-// generalizes).
+// by the testbed's processes. The host reads what machinery an engine
+// needs from its Paradigm's Capabilities.
 type Protocol interface {
 	// Begin introduces a transaction before its first access. ts is the
 	// paradigm-relevant priority timestamp: the first-submission gid for
@@ -190,8 +180,6 @@ type Protocol interface {
 	// Finish releases every claim, lock, queue entry and set the
 	// transaction holds at this site (commit or abort).
 	Finish(txn TxnID)
-	// Capabilities returns the paradigm's capability flags.
-	Capabilities() Capabilities
 }
 
 // lockCC adapts the lock.Manager (2PL with detection or prevention) to
@@ -200,7 +188,6 @@ type Protocol interface {
 // byte-pinned default trace identical.
 type lockCC struct {
 	m        *lock.Manager
-	caps     Capabilities
 	register bool // prevention disciplines pre-register timestamps
 	victims  []TxnID
 }
@@ -210,7 +197,6 @@ type lockCC struct {
 func ForLockManager(m *lock.Manager, p Paradigm) Protocol {
 	return &lockCC{
 		m:        m,
-		caps:     p.Capabilities(),
 		register: p == TwoPhaseWaitDie || p == TwoPhaseWoundWait,
 	}
 }
@@ -243,33 +229,5 @@ func (a *lockCC) Access(txn TxnID, g GranuleID, write bool) Decision {
 	return d
 }
 
-func (a *lockCC) Validate(TxnID) bool        { return true }
-func (a *lockCC) Finish(txn TxnID)           { a.m.ReleaseAll(lock.TxnID(txn)) }
-func (a *lockCC) Capabilities() Capabilities { return a.caps }
-
-// tsoCC adapts the basic-TO manager. The attempt's gid is its timestamp,
-// so a restart naturally carries a fresh, larger one.
-type tsoCC struct {
-	m *tso.Manager
-}
-
-// ForTimestampManager wraps a basic-TO manager.
-func ForTimestampManager(m *tso.Manager) Protocol { return &tsoCC{m: m} }
-
-func (a *tsoCC) Begin(TxnID, int64) {}
-
-func (a *tsoCC) Access(txn TxnID, g GranuleID, write bool) Decision {
-	if a.m.Read(tso.TxnID(txn), int64(txn), tso.GranuleID(g)) == tso.Reject {
-		return Decision{Outcome: Restart}
-	}
-	if write {
-		if out, _ := a.m.Write(tso.TxnID(txn), int64(txn), tso.GranuleID(g)); out == tso.Reject {
-			return Decision{Outcome: Restart}
-		}
-	}
-	return Decision{Outcome: Grant}
-}
-
-func (a *tsoCC) Validate(TxnID) bool        { return true }
-func (a *tsoCC) Finish(txn TxnID)           { a.m.Forget(tso.TxnID(txn)) }
-func (a *tsoCC) Capabilities() Capabilities { return TimestampOrdering.Capabilities() }
+func (a *lockCC) Validate(TxnID) bool { return true }
+func (a *lockCC) Finish(txn TxnID)    { a.m.ReleaseAll(lock.TxnID(txn)) }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"carat/internal/lock"
-	"carat/internal/tso"
 )
 
 func TestParseCanonicalAndAliases(t *testing.T) {
@@ -72,9 +71,6 @@ func TestCapabilityFlags(t *testing.T) {
 	if !Optimistic.Capabilities().ValidatesAtCommit {
 		t.Error("OCC must validate at commit")
 	}
-	if Optimistic.Capabilities().Blocks || TimestampOrdering.Capabilities().Blocks {
-		t.Error("OCC and basic TO never block")
-	}
 }
 
 func TestLockAdapterMirrorsManager(t *testing.T) {
@@ -111,24 +107,5 @@ func TestLockAdapterWaitDieRestartsYounger(t *testing.T) {
 	}
 	if d := p.Access(2, 5, true); d.Outcome != Restart {
 		t.Fatalf("younger conflicting writer under wait-die should die: %v", d.Outcome)
-	}
-}
-
-func TestTimestampAdapterRejectsStaleRead(t *testing.T) {
-	m := tso.NewManager()
-	p := ForTimestampManager(m)
-	if d := p.Access(10, 3, true); d.Outcome != Grant {
-		t.Fatalf("write by txn 10: %v", d.Outcome)
-	}
-	p.Finish(10)
-	if d := p.Access(5, 3, false); d.Outcome != Restart {
-		t.Fatalf("older read after younger write must restart: %v", d.Outcome)
-	}
-	if d := p.Access(20, 3, true); d.Outcome != Grant {
-		t.Fatalf("younger write: %v", d.Outcome)
-	}
-	p.Finish(20)
-	if m.Live() != 0 {
-		t.Fatal("TO bookkeeping leaked after Finish")
 	}
 }

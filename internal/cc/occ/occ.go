@@ -177,6 +177,3 @@ func (m *Manager) Finish(txn cc.TxnID) {
 		delete(m.live, txn)
 	}
 }
-
-// Capabilities returns the OCC capability flags.
-func (m *Manager) Capabilities() cc.Capabilities { return cc.Optimistic.Capabilities() }

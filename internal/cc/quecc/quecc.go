@@ -175,6 +175,3 @@ func (s *Scheduler) Finish(txn cc.TxnID) {
 		}
 	}
 }
-
-// Capabilities returns the QueCC capability flags.
-func (s *Scheduler) Capabilities() cc.Capabilities { return cc.QueueOrdered.Capabilities() }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"carat/internal/cc"
 	"carat/internal/storage"
 	"carat/internal/testbed"
 	"carat/internal/workload"
@@ -29,8 +30,8 @@ func DefaultCCContentions() []CCContention {
 // DefaultCCProtocols returns the three paradigms the lab compares: locking
 // (2PL with distributed deadlock detection), deterministic queue-ordered
 // execution (QueCC), and optimistic execution with backward validation.
-func DefaultCCProtocols() []testbed.CCProtocol {
-	return []testbed.CCProtocol{testbed.CC2PL, testbed.CCQueCC, testbed.CCOCC}
+func DefaultCCProtocols() []cc.Paradigm {
+	return []cc.Paradigm{cc.TwoPhaseDetect, cc.QueueOrdered, cc.Optimistic}
 }
 
 // CCSweepPoint is the measurement at one (protocol, contention, MPL) cell.
@@ -57,7 +58,7 @@ type CCSweepPoint struct {
 
 // CCSweepResult is the full three-way comparison grid.
 type CCSweepResult struct {
-	Protocols   []testbed.CCProtocol
+	Protocols   []cc.Paradigm
 	Contentions []string
 	MPLs        []int
 	// Points is protocol-major, then contention, then MPL — the same order
@@ -69,7 +70,7 @@ type CCSweepResult struct {
 // m times per site (8m users total) on a deliberately small database, with
 // the cell's access pattern and protocol. Simulation-only: the analytical
 // model covers 2PL exclusively, so the sweep never calls Model.
-func ccSweepWorkload(prot testbed.CCProtocol, pat storage.Pattern, m int) workload.Workload {
+func ccSweepWorkload(prot cc.Paradigm, pat storage.Pattern, m int) workload.Workload {
 	wl := workload.MB4(8)
 	base := wl.Users
 	users := make([]testbed.UserSpec, 0, len(base)*m)
@@ -91,12 +92,12 @@ func ccSweepWorkload(prot testbed.CCProtocol, pat storage.Pattern, m int) worklo
 // runGrid, bit-identical for any worker count; every cell runs with
 // opts.Seed itself, so cells differ only in their configuration.
 // Replications are not used: one deterministic run per cell.
-func CCSweep(protocols []testbed.CCProtocol, contentions []CCContention, mpls []int, opts SimOptions) (*CCSweepResult, error) {
+func CCSweep(protocols []cc.Paradigm, contentions []CCContention, mpls []int, opts SimOptions) (*CCSweepResult, error) {
 	if len(protocols) == 0 || len(contentions) == 0 || len(mpls) == 0 {
 		return nil, fmt.Errorf("experiment: cc sweep needs protocols, contentions and MPLs")
 	}
 	type cell struct {
-		prot testbed.CCProtocol
+		prot cc.Paradigm
 		cont CCContention
 		m    int
 	}
@@ -129,7 +130,7 @@ func CCSweep(protocols []testbed.CCProtocol, contentions []CCContention, mpls []
 }
 
 // ccSweepPoint aggregates one cell's run into the reported measurement.
-func ccSweepPoint(prot testbed.CCProtocol, cont string, m int, res testbed.Results) CCSweepPoint {
+func ccSweepPoint(prot cc.Paradigm, cont string, m int, res testbed.Results) CCSweepPoint {
 	pt := CCSweepPoint{Protocol: prot.String(), Contention: cont, Users: 8 * m}
 	subs, commits, resp := commitTotals(res)
 	pt.MeanResponseMS = resp

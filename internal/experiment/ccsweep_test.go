@@ -3,6 +3,7 @@ package experiment
 import (
 	"testing"
 
+	"carat/internal/cc"
 	"carat/internal/testbed"
 )
 
@@ -99,7 +100,7 @@ func TestCCSweepRejectsEmptyGrid(t *testing.T) {
 
 func BenchmarkCCSweep(b *testing.B) {
 	opts := SimOptions{Seed: 7, Warmup: 10_000, Duration: 70_000}
-	protocols := []testbed.CCProtocol{testbed.CC2PL, testbed.CCQueCC, testbed.CCOCC}
+	protocols := []cc.Paradigm{cc.TwoPhaseDetect, cc.QueueOrdered, cc.Optimistic}
 	contentions := DefaultCCContentions()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -124,7 +125,7 @@ func TestCCSweepCellsRunFullWindow(t *testing.T) {
 	const warmup, duration = 2 * 60_000.0, 32 * 60_000.0
 	for _, cont := range DefaultCCContentions() {
 		for _, m := range []int{1, 2, 4} {
-			wl := ccSweepWorkload(testbed.CC2PL, cont.Pattern, m)
+			wl := ccSweepWorkload(cc.TwoPhaseDetect, cont.Pattern, m)
 			sys, err := testbed.New(wl.TestbedConfig(1, warmup, duration))
 			if err != nil {
 				t.Fatal(err)

@@ -4,8 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"carat/internal/cc"
 	"carat/internal/repl"
-	"carat/internal/testbed"
 	"carat/internal/workload"
 )
 
@@ -52,7 +52,7 @@ func TestChaosAuditClean(t *testing.T) {
 
 // ccChaos runs the standard crash+loss chaos batch with the MB4 mix under
 // the given concurrency-control paradigm.
-func ccChaos(t *testing.T, prot testbed.CCProtocol) *ChaosReport {
+func ccChaos(t *testing.T, prot cc.Paradigm) *ChaosReport {
 	t.Helper()
 	wl := workload.MB4(8)
 	wl.Concurrency = prot
@@ -78,14 +78,14 @@ func ccChaos(t *testing.T, prot testbed.CCProtocol) *ChaosReport {
 // policies always arm probe retransmission, so this also exercises the
 // probe gating (QueCC allocates no detector to retransmit from).
 func TestQueCCChaosAuditClean(t *testing.T) {
-	ccChaos(t, testbed.CCQueCC)
+	ccChaos(t, cc.QueueOrdered)
 }
 
 // TestOCCChaosAuditClean is the same audit under optimistic execution:
 // commit-time validation aborts must compose with crashes, message loss and
 // prepare timeouts without half-commits or lost transactions.
 func TestOCCChaosAuditClean(t *testing.T) {
-	ccChaos(t, testbed.CCOCC)
+	ccChaos(t, cc.Optimistic)
 }
 
 // TestChaosDeterministic pins that the whole audit is a pure function of
@@ -111,7 +111,7 @@ func TestChaosDeterministic(t *testing.T) {
 // popped exactly once: the run completes and the audit is clean.
 func TestReplicaCatchUpDrainedOnce(t *testing.T) {
 	wl := workload.MB4(8)
-	wl.Concurrency = testbed.CCQueCC
+	wl.Concurrency = cc.QueueOrdered
 	wl.Replication = repl.Policy{Factor: 2, Read: repl.ReadOne}
 	report, err := RunChaos(wl, ChaosOptions{Runs: 1, Seed: 26, Partitions: true})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"carat/internal/cc"
 	"carat/internal/repl"
 	"carat/internal/testbed"
 	"carat/internal/workload"
@@ -198,7 +199,7 @@ func TestReducersBitIdentical(t *testing.T) {
 	res := testbed.Results{Window: 7_000, Nodes: []testbed.NodeResults{node, node}}
 	reducers := map[string]func() any{
 		"capacityPoint": func() any { return capacityPoint(1, []testbed.Results{res}) },
-		"ccSweepPoint":  func() any { return ccSweepPoint(testbed.CC2PL, "uniform", 1, res) },
+		"ccSweepPoint":  func() any { return ccSweepPoint(cc.TwoPhaseDetect, "uniform", 1, res) },
 		"scalePoint":    func() any { return scalePoint(4, 0.5, 1, res) },
 		"faultPoint":    func() any { return faultPoint(faultCell{policy: repl.Policy{Factor: 2}}, res) },
 	}

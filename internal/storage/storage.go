@@ -9,6 +9,7 @@
 package storage
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -42,16 +43,26 @@ func (l Layout) Scale(n int) Layout {
 
 // Pattern selects the records a request touches.
 type Pattern interface {
-	// Pick returns k distinct record ids from a site with the layout.
-	Pick(r *rng.Rand, l Layout, k int) []int
+	// PickAppend appends k distinct record ids from a site with the
+	// layout to dst and returns the extended slice.
+	PickAppend(dst []int, r *rng.Rand, l Layout, k int) []int
 }
 
-// AppendPattern is the allocation-free variant of Pattern: PickAppend
-// appends the picked records to dst with draws identical to Pick. All the
-// patterns in this package implement it; hot callers type-assert for it and
-// fall back to Pick.
-type AppendPattern interface {
-	PickAppend(dst []int, r *rng.Rand, l Layout, k int) []int
+// CheckPattern reports a pattern whose parameters are out of range: a
+// Hotspot needs Hot in (0,1) and Frac in [0,1], a Zipf a finite Theta ≥ 0.
+// Other patterns have no parameters to check.
+func CheckPattern(p Pattern) error {
+	switch p := p.(type) {
+	case Hotspot:
+		if !(p.Hot > 0 && p.Hot < 1) || !(p.Frac >= 0 && p.Frac <= 1) {
+			return fmt.Errorf("hotspot hot=%v frac=%v out of range: want hot in (0,1) and frac in [0,1]", p.Hot, p.Frac)
+		}
+	case *Zipf:
+		if !(p.Theta >= 0) || math.IsInf(p.Theta, 1) {
+			return fmt.Errorf("zipf theta %v not finite and non-negative", p.Theta)
+		}
+	}
+	return nil
 }
 
 // Uniform picks records uniformly at random without replacement — the
@@ -59,12 +70,7 @@ type AppendPattern interface {
 // the database records located at the site").
 type Uniform struct{}
 
-// Pick implements Pattern.
-func (Uniform) Pick(r *rng.Rand, l Layout, k int) []int {
-	return r.SampleInts(l.Records(), k)
-}
-
-// PickAppend implements AppendPattern.
+// PickAppend implements Pattern.
 func (Uniform) PickAppend(dst []int, r *rng.Rand, l Layout, k int) []int {
 	return r.SampleIntsAppend(dst, l.Records(), k)
 }
@@ -78,12 +84,7 @@ type Hotspot struct {
 	Frac float64 // fraction of accesses aimed at the hot set
 }
 
-// Pick implements Pattern. Records are distinct within one call.
-func (h Hotspot) Pick(r *rng.Rand, l Layout, k int) []int {
-	return h.PickAppend(make([]int, 0, k), r, l, k)
-}
-
-// PickAppend implements AppendPattern.
+// PickAppend implements Pattern. Records are distinct within one call.
 func (h Hotspot) PickAppend(dst []int, r *rng.Rand, l Layout, k int) []int {
 	n := l.Records()
 	hot := int(h.Hot * float64(n))
@@ -151,12 +152,7 @@ func (z *Zipf) table(l Layout) []float64 {
 	return cdf
 }
 
-// Pick implements Pattern. Records are distinct within one call.
-func (z *Zipf) Pick(r *rng.Rand, l Layout, k int) []int {
-	return z.PickAppend(make([]int, 0, k), r, l, k)
-}
-
-// PickAppend implements AppendPattern.
+// PickAppend implements Pattern. Records are distinct within one call.
 func (z *Zipf) PickAppend(dst []int, r *rng.Rand, l Layout, k int) []int {
 	cdf := z.table(l)
 	n := len(cdf)

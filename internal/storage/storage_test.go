@@ -27,7 +27,7 @@ func TestUniformPickDistinctInRange(t *testing.T) {
 	f := func(seed uint64) bool {
 		rr := rng.New(seed)
 		k := 1 + rr.Intn(20)
-		recs := Uniform{}.Pick(r, l, k)
+		recs := Uniform{}.PickAppend(nil, r, l, k)
 		if len(recs) != k {
 			return false
 		}
@@ -53,7 +53,7 @@ func TestHotspotSkew(t *testing.T) {
 	inHot := 0
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		recs := h.Pick(r, l, 1)
+		recs := h.PickAppend(nil, r, l, 1)
 		if recs[0] < hot {
 			inHot++
 		}
@@ -69,7 +69,7 @@ func TestHotspotDistinct(t *testing.T) {
 	r := rng.New(3)
 	h := Hotspot{Hot: 0.5, Frac: 0.9}
 	for i := 0; i < 100; i++ {
-		recs := h.Pick(r, l, 15)
+		recs := h.PickAppend(nil, r, l, 15)
 		seen := map[int]bool{}
 		for _, rec := range recs {
 			if seen[rec] {
@@ -142,7 +142,7 @@ func TestYaoMatchesMonteCarlo(t *testing.T) {
 	const k, trials = 30, 20000
 	var sum float64
 	for i := 0; i < trials; i++ {
-		recs := Uniform{}.Pick(r, l, k)
+		recs := Uniform{}.PickAppend(nil, r, l, k)
 		sum += float64(len(GranulesOf(l, recs)))
 	}
 	mc := sum / trials
@@ -181,7 +181,7 @@ func TestZipfSkew(t *testing.T) {
 	counts := make([]int, l.Records())
 	const trials = 200000
 	for i := 0; i < trials; i++ {
-		counts[z.Pick(r, l, 1)[0]]++
+		counts[z.PickAppend(nil, r, l, 1)[0]]++
 	}
 	// P(rank 0)/P(rank 99) = 100^theta = 100.
 	ratio := float64(counts[0]) / float64(counts[99]+1)
@@ -204,7 +204,7 @@ func TestZipfDistinctAndInRange(t *testing.T) {
 	r := rng.New(6)
 	z := NewZipf(0.99)
 	for i := 0; i < 200; i++ {
-		recs := z.Pick(r, l, 12)
+		recs := z.PickAppend(nil, r, l, 12)
 		seen := map[int]bool{}
 		for _, rec := range recs {
 			if rec < 0 || rec >= l.Records() {
@@ -214,6 +214,23 @@ func TestZipfDistinctAndInRange(t *testing.T) {
 				t.Fatalf("duplicate record %d in %v", rec, recs)
 			}
 			seen[rec] = true
+		}
+	}
+}
+
+func TestCheckPattern(t *testing.T) {
+	for _, p := range []Pattern{nil, Uniform{}, Hotspot{Hot: 0.2, Frac: 0.8}, Hotspot{Hot: 0.5, Frac: 0}, Hotspot{Hot: 0.5, Frac: 1}, NewZipf(0), NewZipf(0.99), NewZipf(50)} {
+		if err := CheckPattern(p); err != nil {
+			t.Errorf("CheckPattern(%#v) = %v, want nil", p, err)
+		}
+	}
+	for _, p := range []Pattern{
+		Hotspot{Hot: 5, Frac: -2}, Hotspot{Hot: 0, Frac: 0.8}, Hotspot{Hot: 1, Frac: 0.8},
+		Hotspot{Hot: 0.2, Frac: 1.5}, Hotspot{Hot: math.NaN(), Frac: 0.8}, Hotspot{Hot: 0.2, Frac: math.NaN()},
+		NewZipf(-1), NewZipf(math.NaN()), NewZipf(math.Inf(1)),
+	} {
+		if err := CheckPattern(p); err == nil {
+			t.Errorf("CheckPattern(%#v) accepted an out-of-range pattern", p)
 		}
 	}
 }

@@ -3,22 +3,23 @@ package testbed
 import (
 	"testing"
 
+	"carat/internal/cc"
 	"carat/internal/storage"
 )
 
 // ccConfig builds a contended two-node workload under a given protocol.
-func ccConfig(cc CCProtocol, n int, seed uint64) Config {
+func ccConfig(p cc.Paradigm, n int, seed uint64) Config {
 	cfg := twoNodeConfig(mb4Users(), n, seed)
-	cfg.Concurrency = cc
+	cfg.Concurrency = p
 	cfg.Layout = storage.Layout{Granules: 400, RecordsPerGran: 6}
 	cfg.Duration = 800_000
 	cfg.Warmup = 50_000
 	return cfg
 }
 
-func runCC(t *testing.T, cc CCProtocol, n int, seed uint64) Results {
+func runCC(t *testing.T, p cc.Paradigm, n int, seed uint64) Results {
 	t.Helper()
-	sys, err := New(ccConfig(cc, n, seed))
+	sys, err := New(ccConfig(p, n, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,10 +27,9 @@ func runCC(t *testing.T, cc CCProtocol, n int, seed uint64) Results {
 }
 
 func TestAllProtocolsMakeProgress(t *testing.T) {
-	for _, cc := range []CCProtocol{CC2PL, CCWaitDie, CCWoundWait, CCTimestamp, CCOCC, CCQueCC} {
-		cc := cc
-		t.Run(cc.String(), func(t *testing.T) {
-			cfg := ccConfig(cc, 8, 31)
+	for _, p := range []cc.Paradigm{cc.TwoPhaseDetect, cc.TwoPhaseWaitDie, cc.TwoPhaseWoundWait, cc.TimestampOrdering, cc.Optimistic, cc.QueueOrdered} {
+		t.Run(p.String(), func(t *testing.T) {
+			cfg := ccConfig(p, 8, 31)
 			// On the paper's standard database every protocol sustains
 			// all four transaction types (basic TO starves long writers
 			// on much smaller databases — see the starvation test).
@@ -42,7 +42,7 @@ func TestAllProtocolsMakeProgress(t *testing.T) {
 			for i, nr := range res.Nodes {
 				for _, k := range []TxnKind{LRO, LU, DRO, DU} {
 					if nr.TxnThroughput[k] <= 0 {
-						t.Fatalf("node %d: %v stalled under %v", i, k, cc)
+						t.Fatalf("node %d: %v stalled under %v", i, k, p)
 					}
 				}
 			}
@@ -57,7 +57,7 @@ func TestAllProtocolsMakeProgress(t *testing.T) {
 // the assumption-sensitivity Agrawal, Carey & Livny used to explain the
 // literature's contradictory 2PL-vs-TO conclusions.
 func TestTimestampOrderingStarvesLongWriters(t *testing.T) {
-	res := runCC(t, CCTimestamp, 12, 31) // 400-granule database
+	res := runCC(t, cc.TimestampOrdering, 12, 31) // 400-granule database
 	var duCommits int64
 	var lroCommits int64
 	for _, nr := range res.Nodes {
@@ -68,7 +68,7 @@ func TestTimestampOrderingStarvesLongWriters(t *testing.T) {
 		t.Fatal("even readers stalled — that is a bug, not starvation")
 	}
 	// 2PL at identical parameters commits DUs steadily.
-	ref := runCC(t, CC2PL, 12, 31)
+	ref := runCC(t, cc.TwoPhaseDetect, 12, 31)
 	var duRef int64
 	for _, nr := range ref.Nodes {
 		duRef += nr.Commits[DU]
@@ -85,8 +85,8 @@ func TestTimestampOrderingStarvesLongWriters(t *testing.T) {
 func TestPreventionAbortsMoreRestartsThanDetection(t *testing.T) {
 	// Wait-die kills on every old-holder conflict, detection only on real
 	// cycles: prevention must show more resubmissions at equal contention.
-	detect := runCC(t, CC2PL, 12, 7)
-	waitDie := runCC(t, CCWaitDie, 12, 7)
+	detect := runCC(t, cc.TwoPhaseDetect, 12, 7)
+	waitDie := runCC(t, cc.TwoPhaseWaitDie, 12, 7)
 	resub := func(r Results) int64 {
 		var subs, commits int64
 		for _, nr := range r.Nodes {
@@ -104,7 +104,7 @@ func TestPreventionAbortsMoreRestartsThanDetection(t *testing.T) {
 }
 
 func TestTimestampOrderingNeverBlocks(t *testing.T) {
-	cfg := ccConfig(CCTimestamp, 12, 9)
+	cfg := ccConfig(cc.TimestampOrdering, 12, 9)
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestTimestampOrderingNeverBlocks(t *testing.T) {
 }
 
 func TestTimestampOrderingRestartsUnderContention(t *testing.T) {
-	res := runCC(t, CCTimestamp, 16, 11)
+	res := runCC(t, cc.TimestampOrdering, 16, 11)
 	var rejects int64
 	for _, nr := range res.Nodes {
 		rejects += nr.LocalDeadlocks // Reject aborts share the counter
@@ -138,7 +138,7 @@ func TestWoundWaitWoundsRunningTransactions(t *testing.T) {
 		{Kind: LU, Home: 0}, {Kind: LU, Home: 0}, {Kind: LU, Home: 0}, {Kind: LU, Home: 0},
 	}
 	cfg := twoNodeConfig(users, 12, 13)
-	cfg.Concurrency = CCWoundWait
+	cfg.Concurrency = cc.TwoPhaseWoundWait
 	cfg.Layout = storage.Layout{Granules: 60, RecordsPerGran: 6}
 	cfg.Duration = 600_000
 	sys, err := New(cfg)
@@ -157,22 +157,22 @@ func TestWoundWaitWoundsRunningTransactions(t *testing.T) {
 }
 
 func TestCCProtocolsDeterministic(t *testing.T) {
-	for _, cc := range []CCProtocol{CCWaitDie, CCWoundWait, CCTimestamp, CCOCC, CCQueCC} {
-		a := runCC(t, cc, 8, 17)
-		b := runCC(t, cc, 8, 17)
+	for _, p := range []cc.Paradigm{cc.TwoPhaseWaitDie, cc.TwoPhaseWoundWait, cc.TimestampOrdering, cc.Optimistic, cc.QueueOrdered} {
+		a := runCC(t, p, 8, 17)
+		b := runCC(t, p, 8, 17)
 		for i := range a.Nodes {
 			if a.Nodes[i].TotalTxnThroughput != b.Nodes[i].TotalTxnThroughput {
-				t.Fatalf("%v nondeterministic at node %d", cc, i)
+				t.Fatalf("%v nondeterministic at node %d", p, i)
 			}
 		}
 	}
 }
 
 func TestCCProtocolString(t *testing.T) {
-	if CC2PL.String() != "2PL-detect" || CCTimestamp.String() != "basic-TO" {
+	if cc.TwoPhaseDetect.String() != "2PL-detect" || cc.TimestampOrdering.String() != "basic-TO" {
 		t.Fatal("protocol names wrong")
 	}
-	if CCOCC.String() != "OCC" || CCQueCC.String() != "QueCC" {
+	if cc.Optimistic.String() != "OCC" || cc.QueueOrdered.String() != "QueCC" {
 		t.Fatal("OCC/QueCC protocol names wrong")
 	}
 }
@@ -183,7 +183,7 @@ func TestCCProtocolString(t *testing.T) {
 // waits-for graph can cycle. Prevention, TO, OCC and QueCC allocate no
 // probe state at all.
 func TestNoProbeStateOutsideDetection(t *testing.T) {
-	for _, ccp := range []CCProtocol{CCWaitDie, CCWoundWait, CCTimestamp, CCOCC, CCQueCC} {
+	for _, ccp := range []cc.Paradigm{cc.TwoPhaseWaitDie, cc.TwoPhaseWoundWait, cc.TimestampOrdering, cc.Optimistic, cc.QueueOrdered} {
 		cfg := ccConfig(ccp, 4, 5)
 		cfg.Duration = 100_000
 		sys, err := New(cfg)
@@ -197,7 +197,7 @@ func TestNoProbeStateOutsideDetection(t *testing.T) {
 		}
 		sys.Run()
 	}
-	sys, err := New(ccConfig(CC2PL, 4, 5))
+	sys, err := New(ccConfig(cc.TwoPhaseDetect, 4, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestNoProbeStateOutsideDetection(t *testing.T) {
 // runs — even with probe retransmission configured, which is armed only
 // for paradigms that can deadlock.
 func TestQueCCNoDeadlocksNoProbeTraffic(t *testing.T) {
-	cfg := ccConfig(CCQueCC, 16, 23)
+	cfg := ccConfig(cc.QueueOrdered, 16, 23)
 	cfg.Resilience.ProbeRetryMS = 50
 	var reprobes, deadlockEvs int
 	cfg.Trace = func(ev TraceEvent) {
@@ -261,7 +261,7 @@ func TestQueCCHighMPLNoStall(t *testing.T) {
 		users = append(users, base...)
 	}
 	cfg := twoNodeConfig(users, 8, 9245) // 32 users vs 16 DM servers per site
-	cfg.Concurrency = CCQueCC
+	cfg.Concurrency = cc.QueueOrdered
 	cfg.Layout = storage.Layout{Granules: 400, RecordsPerGran: 6}
 	cfg.Warmup = 0
 	cfg.Duration = 1_920_000
@@ -289,7 +289,7 @@ func TestQueCCHighMPLNoStall(t *testing.T) {
 // commit-time validation aborts counted under CauseValidation, and the
 // system keeps committing.
 func TestOCCNeverBlocksAndValidates(t *testing.T) {
-	res := runCC(t, CCOCC, 16, 29)
+	res := runCC(t, cc.Optimistic, 16, 29)
 	var vAborts, commits, retriedV int64
 	for i, nr := range res.Nodes {
 		if nr.LockWaits != 0 {
@@ -320,11 +320,10 @@ func TestOCCNeverBlocksAndValidates(t *testing.T) {
 // new paradigms: no access grant after the commit/abort decision, no
 // release before it.
 func TestCCTraceInvariantsHoldForPrevention(t *testing.T) {
-	for _, cc := range []CCProtocol{CCWaitDie, CCWoundWait, CCOCC, CCQueCC} {
-		cc := cc
-		t.Run(cc.String(), func(t *testing.T) {
+	for _, p := range []cc.Paradigm{cc.TwoPhaseWaitDie, cc.TwoPhaseWoundWait, cc.Optimistic, cc.QueueOrdered} {
+		t.Run(p.String(), func(t *testing.T) {
 			var all []TraceEvent
-			cfg := ccConfig(cc, 10, 19)
+			cfg := ccConfig(p, 10, 19)
 			cfg.Duration = 300_000
 			cfg.Warmup = 0
 			cfg.Trace = func(ev TraceEvent) { all = append(all, ev) }
@@ -345,11 +344,11 @@ func TestCCTraceInvariantsHoldForPrevention(t *testing.T) {
 						decided = true
 					case EvLockGrant:
 						if decided {
-							t.Fatalf("%v: txn %d acquires after decision", cc, txn)
+							t.Fatalf("%v: txn %d acquires after decision", p, txn)
 						}
 					case EvRelease:
 						if !decided {
-							t.Fatalf("%v: txn %d releases before decision", cc, txn)
+							t.Fatalf("%v: txn %d releases before decision", p, txn)
 						}
 					}
 				}
@@ -371,7 +370,7 @@ func TestCCTraceInvariantsHoldForPrevention(t *testing.T) {
 // every user parked; with only the first, 2 wound-wait runs still did.
 // Each must measure its full window.
 func TestPreventionRunsFullWindow(t *testing.T) {
-	for _, ccp := range []CCProtocol{CCWaitDie, CCWoundWait} {
+	for _, ccp := range []cc.Paradigm{cc.TwoPhaseWaitDie, cc.TwoPhaseWoundWait} {
 		for seed := uint64(1); seed <= 10; seed++ {
 			cfg := ccConfig(ccp, 8, seed)
 			cfg.Layout = storage.Layout{Granules: 200, RecordsPerGran: 6}

@@ -17,6 +17,8 @@ package testbed
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"carat/internal/cc"
 	"carat/internal/comm"
@@ -220,60 +222,14 @@ func DefaultParams(nodes int) Params {
 	return p
 }
 
-// CCProtocol selects the concurrency control scheme the testbed runs.
-// CARAT's scheme — and the only one the analytical model covers — is
-// CC2PL; the others are the classical baselines the contemporaneous
-// modeling literature compares against (Rosenkrantz's prevention schemes,
-// Galler's basic timestamp ordering) plus the modern OCC and
-// deterministic paradigms. The values mirror cc.Paradigm one-to-one; the
-// engine dispatch lives in internal/cc.
-type CCProtocol int
-
-const (
-	// CC2PL is two-phase locking with wait-for-graph deadlock detection
-	// (the paper's scheme; the default).
-	CC2PL CCProtocol = iota
-	// CCWaitDie is 2PL with wait-die prevention: a requester younger than
-	// a conflicting holder aborts instead of waiting.
-	CCWaitDie
-	// CCWoundWait is 2PL with wound-wait prevention: an older requester
-	// aborts younger conflicting holders.
-	CCWoundWait
-	// CCTimestamp is basic timestamp ordering: no locks, no blocking;
-	// late accesses abort and restart with a fresh timestamp.
-	CCTimestamp
-	// CCOCC is optimistic concurrency control: execute without blocking,
-	// track read/write sets, backward-validate at commit; validation
-	// conflicts abort under CauseValidation.
-	CCOCC
-	// CCQueCC is QueCC-style deterministic execution: accesses are planned
-	// into per-site priority queues at submission and drained in priority
-	// order — no locks, no deadlocks, no probe traffic by construction.
-	CCQueCC
-)
-
-// paradigm converts to the cc subsystem's paradigm enum (same values).
-func (c CCProtocol) paradigm() cc.Paradigm { return cc.Paradigm(c) }
-
-// String names the protocol.
-func (c CCProtocol) String() string {
-	switch c {
-	case CC2PL:
-		return "2PL-detect"
-	case CCWaitDie:
-		return "2PL-wait-die"
-	case CCWoundWait:
-		return "2PL-wound-wait"
-	case CCTimestamp:
-		return "basic-TO"
-	case CCOCC:
-		return "OCC"
-	case CCQueCC:
-		return "QueCC"
-	default:
-		return fmt.Sprintf("CCProtocol(%d)", int(c))
-	}
-}
+// CCProtocol is the testbed's historical name for the concurrency-control
+// paradigm a run uses, kept as an alias so callers that convert to it (the
+// benchmark does) still compile. CARAT's scheme — and the only one the
+// analytical model covers — is cc.TwoPhaseDetect; the others are the
+// classical baselines the contemporaneous modeling literature compares
+// against (Rosenkrantz's prevention schemes, Galler's basic timestamp
+// ordering) plus the modern OCC and deterministic paradigms.
+type CCProtocol = cc.Paradigm
 
 // PlacementConfig activates the data-directory placement subsystem: the
 // granule space of the whole fleet (Layout scaled by the node count) is
@@ -348,9 +304,9 @@ type Config struct {
 	// from the paper's conclusions. The paper's testbed has h = 0.
 	BufferHitRatio float64
 
-	// Concurrency selects the concurrency control protocol (default
-	// CC2PL, the paper's scheme).
-	Concurrency CCProtocol
+	// Concurrency selects the concurrency control paradigm (default
+	// cc.TwoPhaseDetect, the paper's scheme).
+	Concurrency cc.Paradigm
 
 	Seed uint64
 	// Warmup and Duration bound the run: statistics are reset at Warmup
@@ -443,6 +399,13 @@ func (c *Config) Validate() error {
 	if c.Pattern == nil {
 		c.Pattern = storage.Uniform{}
 	}
+	if err := storage.CheckPattern(c.Pattern); err != nil {
+		return fmt.Errorf("testbed: %w", err)
+	}
+	if !c.Concurrency.Valid() {
+		return fmt.Errorf("testbed: concurrency control %d unknown (valid modes: %s)",
+			int(c.Concurrency), strings.Join(cc.Names(), ", "))
+	}
 	if c.Network == nil {
 		c.Network = comm.ZeroDelay{}
 	}
@@ -496,9 +459,14 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("testbed: %w", err)
 	}
 	if c.Open.Active() {
-		if err := c.Open.validate(len(c.Nodes)); err != nil {
+		// Open configs are shared across a sweep's concurrent cells too:
+		// validation fills the default class mix on a private copy.
+		oc := *c.Open
+		oc.Classes = slices.Clone(oc.Classes)
+		if err := oc.validate(len(c.Nodes)); err != nil {
 			return err
 		}
+		c.Open = &oc
 	}
 	if c.Placement != nil {
 		// Like fault plans, placement configs are shared across a sweep's
@@ -522,6 +490,9 @@ func (c *Config) Validate() error {
 			} else {
 				pc.Pattern = c.Pattern
 			}
+		}
+		if err := storage.CheckPattern(pc.Pattern); err != nil {
+			return fmt.Errorf("testbed: placement anchor: %w", err)
 		}
 		c.Placement = &pc
 	}

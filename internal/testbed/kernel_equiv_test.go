@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"carat/internal/cc"
 	"carat/internal/comm"
 	"carat/internal/disk"
 	"carat/internal/openload"
@@ -148,7 +149,7 @@ func partitionScenario() Config {
 // queccScenario runs QueCC, which draws every request's granules at
 // planning time.
 func queccScenario() Config {
-	cfg := ccConfig(CCQueCC, 8, 23)
+	cfg := ccConfig(cc.QueueOrdered, 8, 23)
 	cfg.Duration = 300_000
 	return cfg
 }
@@ -176,7 +177,7 @@ func deadlockScenario() Config {
 // its access is granted or blocks with victims.
 func woundWaitScenario() Config {
 	cfg := closedScenario()
-	cfg.Concurrency = CCWoundWait
+	cfg.Concurrency = cc.TwoPhaseWoundWait
 	return cfg
 }
 
@@ -184,7 +185,7 @@ func woundWaitScenario() Config {
 // requester that would wait for an older transaction restarts.
 func waitDieScenario() Config {
 	cfg := closedScenario()
-	cfg.Concurrency = CCWaitDie
+	cfg.Concurrency = cc.TwoPhaseWaitDie
 	return cfg
 }
 

@@ -39,15 +39,14 @@ type node struct {
 	hasCosts [numKinds]bool
 
 	// ccp is the site's concurrency-control engine behind the cc.Protocol
-	// interface; the typed fields below expose the one concrete engine the
-	// configured paradigm uses (the others stay nil). locks also feeds the
-	// probe detector's waits-for edges; detector — and with it every probe
-	// message — exists only under 2PL with deadlock detection, the one
-	// paradigm whose waits can cycle.
+	// interface. locks and qcc expose the concrete engine where the site
+	// needs more than the interface (nil under the other paradigms): locks
+	// feeds the probe detector's waits-for edges, and qcc takes QueCC's
+	// submission-time plans. detector — and with it every probe message —
+	// exists only when the paradigm's waits can cycle (2PL with deadlock
+	// detection).
 	ccp      cc.Protocol
 	locks    *lock.Manager    // 2PL family
-	tso      *tso.Manager     // basic TO
-	occv     *occ.Manager     // OCC
 	qcc      *quecc.Scheduler // QueCC
 	journal  *wal.Log
 	store    *storage.Store
@@ -155,9 +154,9 @@ func newNode(sys *System, id NodeID, cfg NodeConfig, layout storage.Layout, r *r
 // manager's discipline.
 func (s *System) lockDiscipline() lock.Discipline {
 	switch s.cfg.Concurrency {
-	case CCWaitDie:
+	case cc.TwoPhaseWaitDie:
 		return lock.WaitDie
-	case CCWoundWait:
+	case cc.TwoPhaseWoundWait:
 		return lock.WoundWait
 	default:
 		return lock.Detect
@@ -166,25 +165,23 @@ func (s *System) lockDiscipline() lock.Discipline {
 
 // initCC builds the site's concurrency-control engine for the configured
 // paradigm. Only the machinery the paradigm needs exists: the Chandy–Misra
-// probe detector is allocated solely under 2PL with deadlock detection —
-// the one paradigm whose waits-for graph can cycle — so prevention, TO,
-// OCC and QueCC runs carry no probe state at all.
+// probe detector is allocated solely when the paradigm can deadlock — 2PL
+// with deadlock detection — so prevention, TO, OCC and QueCC runs carry
+// no probe state at all.
 func (n *node) initCC() {
-	n.ccp, n.locks, n.tso, n.occv, n.qcc, n.detector = nil, nil, nil, nil, nil, nil
-	switch n.sys.cfg.Concurrency {
-	case CCTimestamp:
-		n.tso = tso.NewManager()
-		n.ccp = cc.ForTimestampManager(n.tso)
-	case CCOCC:
-		n.occv = occ.NewManager()
-		n.ccp = n.occv
-	case CCQueCC:
+	n.ccp, n.locks, n.qcc, n.detector = nil, nil, nil, nil
+	switch p := n.sys.cfg.Concurrency; p {
+	case cc.TimestampOrdering:
+		n.ccp = tso.NewManager()
+	case cc.Optimistic:
+		n.ccp = occ.NewManager()
+	case cc.QueueOrdered:
 		n.qcc = quecc.NewScheduler(func(txn cc.TxnID) { n.wake(int64(txn)) })
 		n.ccp = n.qcc
 	default:
 		n.locks = lock.NewManagerWithDiscipline(n.sys.lockDiscipline(), lock.VictimRequester, n.onGrant)
-		n.ccp = cc.ForLockManager(n.locks, n.sys.cfg.Concurrency.paradigm())
-		if n.sys.cfg.Concurrency == CC2PL {
+		n.ccp = cc.ForLockManager(n.locks, p)
+		if n.sys.ccCaps.Deadlocks {
 			n.detector = probe.NewDetector(probe.SiteID(n.id), (*probeHost)(n))
 		}
 	}

@@ -129,6 +129,9 @@ func (o *OpenConfig) validate(nodes int) error {
 		if c.RemoteFrac < 0 || c.RemoteFrac > 1 {
 			return fmt.Errorf("testbed: open class %d remote fraction %v out of [0,1]", i, c.RemoteFrac)
 		}
+		if err := storage.CheckPattern(c.Pattern); err != nil {
+			return fmt.Errorf("testbed: open class %d: %w", i, err)
+		}
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"carat/internal/openload"
+	"carat/internal/storage"
 )
 
 // openConfig builds a two-node open-arrival system with no closed users.
@@ -142,6 +143,9 @@ func TestOpenConfigValidation(t *testing.T) {
 		{"bad class kind", func(c *Config) { c.Open.Classes = []OpenClass{{Kind: TxnKind(9)}} }},
 		{"bad class remote frac", func(c *Config) {
 			c.Open.Classes = []OpenClass{{Kind: LU, RemoteFrac: 2}}
+		}},
+		{"bad class pattern", func(c *Config) {
+			c.Open.Classes = []OpenClass{{Kind: LU, Pattern: storage.NewZipf(math.Inf(1))}}
 		}},
 	}
 	for _, tc := range cases {

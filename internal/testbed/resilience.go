@@ -20,7 +20,7 @@ const (
 	// CauseTimeout covers lock-wait and 2PC prepare timeouts.
 	CauseTimeout
 	// CauseValidation covers OCC commit-time validation conflicts. Only
-	// CCOCC runs produce it (and only CCOCC runs serialize it — see
+	// OCC runs produce it (and only OCC runs serialize it — see
 	// Results.collect).
 	CauseValidation
 

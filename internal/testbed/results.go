@@ -70,7 +70,7 @@ type NodeResults struct {
 
 	// ValidationAborts counts OCC backward-validation conflicts detected
 	// at this site. Zero — and omitted from JSON, keeping non-OCC
-	// serializations byte-identical — except under CCOCC.
+	// serializations byte-identical — except under OCC.
 	ValidationAborts int64 `json:",omitempty"`
 
 	// Partition and gray-failure measurements (all zero — and omitted from
@@ -273,7 +273,7 @@ func (s *System) collect(t float64) Results {
 		nr.Retried = make(map[AbortCause]int64)
 		nr.Abandoned = make(map[AbortCause]int64)
 		for c := AbortCause(0); c < numAbortCauses; c++ {
-			if c == CauseValidation && s.cfg.Concurrency != CCOCC {
+			if c == CauseValidation && !s.ccCaps.ValidatesAtCommit {
 				// Only OCC produces validation aborts; keeping the key out
 				// of the maps everywhere else keeps the serialized shape —
 				// and the kernel-equivalence pins — of every pre-existing

@@ -19,7 +19,7 @@ import (
 var errDeadlockVictim = errors.New("testbed: deadlock victim")
 
 // errValidation dooms a transaction that failed OCC backward validation
-// at commit (CCOCC runs only); it rolls back and resubmits under
+// at commit (OCC runs only); it rolls back and resubmits under
 // CauseValidation.
 var errValidation = errors.New("testbed: validation conflict")
 
@@ -169,7 +169,7 @@ func New(cfg Config) (*System, error) {
 		env:    sim.NewEnv(),
 		rnd:    rng.New(cfg.Seed),
 		reg:    make(map[int64]*txnState),
-		ccCaps: cfg.Concurrency.paradigm().Capabilities(),
+		ccCaps: cfg.Concurrency.Capabilities(),
 	}
 	sys.wire = sim.NewResource(sys.env, "wire", math.MaxInt)
 	if pc := cfg.Placement; pc != nil {

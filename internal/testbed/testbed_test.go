@@ -61,6 +61,13 @@ func TestConfigValidation(t *testing.T) {
 		{"warmup past duration", func(c *Config) { c.Warmup = c.Duration + 1 }},
 		{"missing disk", func(c *Config) { c.Nodes[0].DBDisk = nil }},
 		{"bad remote frac", func(c *Config) { c.RemoteFrac = 2 }},
+		{"unknown concurrency", func(c *Config) { c.Concurrency = 6 }},
+		{"negative concurrency", func(c *Config) { c.Concurrency = -1 }},
+		{"bad hotspot", func(c *Config) { c.Pattern = storage.Hotspot{Hot: 5, Frac: -2} }},
+		{"NaN zipf", func(c *Config) { c.Pattern = storage.NewZipf(math.NaN()) }},
+		{"bad placement anchor", func(c *Config) {
+			c.Placement = &PlacementConfig{Pattern: storage.Hotspot{Hot: 0.2, Frac: 2}}
+		}},
 	}
 	for _, tc := range cases {
 		cfg := twoNodeConfig(mb4Users(), 4, 1)

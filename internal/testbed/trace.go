@@ -79,7 +79,7 @@ const (
 	// (health; Txn is -1, Node is the observer, Granule is the trusted site).
 	EvTrust
 	// EvValidationAbort marks a transaction failing OCC backward validation
-	// at the named site (CCOCC only).
+	// at the named site (OCC only).
 	EvValidationAbort
 	// EvNetHop marks one inter-site message routed through the shared
 	// Ethernet fabric (scale-out fabric runs only; Txn is -1, Node is the

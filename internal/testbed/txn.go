@@ -474,25 +474,14 @@ func (u *user) drawSite(pl *placementState, home NodeID) NodeID {
 	if pl.dir.Strategy() == placement.Locality && u.rnd.Bool(pl.affinity) {
 		return home
 	}
-	var rec int
-	if ap, ok := pl.pat.(storage.AppendPattern); ok {
-		u.anchorBuf = ap.PickAppend(u.anchorBuf[:0], u.rnd, pl.global, 1)
-		rec = u.anchorBuf[0]
-	} else {
-		rec = pl.pat.Pick(u.rnd, pl.global, 1)[0]
-	}
-	return NodeID(pl.dir.Site(pl.global.GranuleOf(rec)))
+	u.anchorBuf = pl.pat.PickAppend(u.anchorBuf[:0], u.rnd, pl.global, 1)
+	return NodeID(pl.dir.Site(pl.global.GranuleOf(u.anchorBuf[0])))
 }
 
 // pickRecords draws the records for one request into the user's scratch
-// buffer, using the pattern's allocation-free path when it has one.
+// buffer.
 func (u *user) pickRecords(l storage.Layout, k int) []int {
-	pat := u.pattern()
-	if ap, ok := pat.(storage.AppendPattern); ok {
-		u.recsBuf = ap.PickAppend(u.recsBuf[:0], u.rnd, l, k)
-	} else {
-		u.recsBuf = append(u.recsBuf[:0], pat.Pick(u.rnd, l, k)...)
-	}
+	u.recsBuf = u.pattern().PickAppend(u.recsBuf[:0], u.rnd, l, k)
 	return u.recsBuf
 }
 

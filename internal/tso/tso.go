@@ -15,76 +15,27 @@
 // there are no deadlocks.
 package tso
 
-import "slices"
-
-// TxnID identifies a transaction; GranuleID a database block.
-type (
-	TxnID     int64
-	GranuleID int
-)
-
-// Outcome of an access check.
-type Outcome int
-
-const (
-	// OK means the access is admitted.
-	OK Outcome = iota
-	// Reject means the transaction must abort and restart with a new
-	// timestamp.
-	Reject
-)
-
-// String names the outcome.
-func (o Outcome) String() string {
-	if o == OK {
-		return "ok"
-	}
-	return "reject"
-}
-
-// Stats counts scheduler activity.
-type Stats struct {
-	Reads        int64
-	Writes       int64
-	ReadRejects  int64
-	WriteRejects int64
-}
+import "carat/internal/cc"
 
 // granuleTS is the per-block timestamp pair.
 type granuleTS struct {
 	read, write int64
 }
 
-// Manager is one site's basic-TO scheduler. Like the lock manager it is a
-// synchronous data structure driven by the testbed's processes.
+// Manager is one site's basic-TO scheduler, a cc.Protocol. Like the lock
+// manager it is a synchronous data structure driven by the testbed's
+// processes. A transaction's id is its timestamp: the testbed hands each
+// attempt a fresh gid, so a restart carries a larger one.
 type Manager struct {
-	ts map[GranuleID]*granuleTS
-	// touched tracks, per live transaction, the granules it has accessed,
-	// so Finish can expose them for accounting parity with 2PL.
-	touched map[TxnID]map[GranuleID]bool
-	// freeSets recycles touched sets (with their capacity) across
-	// transactions.
-	freeSets []map[GranuleID]bool
-	stats    Stats
-
-	// ThomasWriteRule, when set, silently skips obsolete writes (a write
-	// older than the granule's write timestamp but not conflicting with a
-	// later read) instead of rejecting the transaction.
-	ThomasWriteRule bool
+	ts map[cc.GranuleID]*granuleTS
 }
 
 // NewManager creates an empty scheduler.
 func NewManager() *Manager {
-	return &Manager{
-		ts:      make(map[GranuleID]*granuleTS),
-		touched: make(map[TxnID]map[GranuleID]bool),
-	}
+	return &Manager{ts: make(map[cc.GranuleID]*granuleTS)}
 }
 
-// Stats returns the activity counters.
-func (m *Manager) Stats() Stats { return m.stats }
-
-func (m *Manager) entry(g GranuleID) *granuleTS {
+func (m *Manager) entry(g cc.GranuleID) *granuleTS {
 	e := m.ts[g]
 	if e == nil {
 		e = &granuleTS{}
@@ -93,87 +44,30 @@ func (m *Manager) entry(g GranuleID) *granuleTS {
 	return e
 }
 
-func (m *Manager) touch(txn TxnID, g GranuleID) {
-	set := m.touched[txn]
-	if set == nil {
-		if k := len(m.freeSets); k > 0 {
-			set = m.freeSets[k-1]
-			m.freeSets[k-1] = nil
-			m.freeSets = m.freeSets[:k-1]
-		} else {
-			set = make(map[GranuleID]bool)
-		}
-		m.touched[txn] = set
-	}
-	set[g] = true
-}
+// Begin implements cc.Protocol; basic TO keeps no per-transaction state.
+func (m *Manager) Begin(cc.TxnID, int64) {}
 
-// Read admits or rejects a read of g by the transaction with the given
-// timestamp. On OK the granule's read timestamp advances.
-func (m *Manager) Read(txn TxnID, timestamp int64, g GranuleID) Outcome {
-	m.stats.Reads++
+// Access admits or rejects one access of g by the transaction whose
+// timestamp is txn. Any access is rejected after a younger write, a write
+// also after a younger read. An admitted access advances the granule's
+// read timestamp, and a write its write timestamp too.
+func (m *Manager) Access(txn cc.TxnID, g cc.GranuleID, write bool) cc.Decision {
+	ts := int64(txn)
 	e := m.entry(g)
-	if timestamp < e.write {
-		m.stats.ReadRejects++
-		return Reject
+	if ts < e.write || write && ts < e.read {
+		return cc.Decision{Outcome: cc.Restart}
 	}
-	if timestamp > e.read {
-		e.read = timestamp
+	e.read = max(e.read, ts)
+	if write {
+		e.write = ts
 	}
-	m.touch(txn, g)
-	return OK
+	return cc.Decision{Outcome: cc.Grant}
 }
 
-// Write admits or rejects a write of g. On OK the granule's write
-// timestamp advances. With the Thomas write rule, a write older than the
-// recorded write (but no younger read) reports OK with skip=true: the
-// caller must not apply the update.
-func (m *Manager) Write(txn TxnID, timestamp int64, g GranuleID) (out Outcome, skip bool) {
-	m.stats.Writes++
-	e := m.entry(g)
-	if timestamp < e.read {
-		m.stats.WriteRejects++
-		return Reject, false
-	}
-	if timestamp < e.write {
-		if m.ThomasWriteRule {
-			m.touch(txn, g)
-			return OK, true
-		}
-		m.stats.WriteRejects++
-		return Reject, false
-	}
-	e.write = timestamp
-	m.touch(txn, g)
-	return OK, false
-}
+// Validate implements cc.Protocol: basic TO decides at access time.
+func (m *Manager) Validate(cc.TxnID) bool { return true }
 
-// Finish forgets a transaction's bookkeeping (commit or abort) and returns
-// the granules it touched, sorted. Granule timestamps persist — that is
-// the essence of TO. Callers that don't need the touched set should use
-// Forget, which allocates nothing.
-func (m *Manager) Finish(txn TxnID) []GranuleID {
-	set := m.touched[txn]
-	out := make([]GranuleID, 0, len(set))
-	for g := range set {
-		out = append(out, g)
-	}
-	slices.Sort(out)
-	m.Forget(txn)
-	return out
-}
-
-// Forget drops a transaction's bookkeeping without materializing its
-// touched set, recycling the set's storage.
-func (m *Manager) Forget(txn TxnID) {
-	if set, ok := m.touched[txn]; ok {
-		if set != nil {
-			clear(set)
-			m.freeSets = append(m.freeSets, set)
-		}
-		delete(m.touched, txn)
-	}
-}
-
-// Live returns the number of transactions with bookkeeping.
-func (m *Manager) Live() int { return len(m.touched) }
+// Finish implements cc.Protocol. Granule timestamps persist across a
+// transaction's end — that is the essence of TO — so there is nothing to
+// release.
+func (m *Manager) Finish(cc.TxnID) {}

@@ -4,88 +4,57 @@ import (
 	"testing"
 	"testing/quick"
 
+	"carat/internal/cc"
 	"carat/internal/rng"
 )
 
+// granted reports whether the access by the transaction with timestamp ts
+// is granted.
+func granted(m *Manager, ts int64, g cc.GranuleID, write bool) bool {
+	return m.Access(cc.TxnID(ts), g, write).Outcome == cc.Grant
+}
+
 func TestReadAfterLaterWriteRejected(t *testing.T) {
 	m := NewManager()
-	if out, _ := m.Write(2, 20, 5); out != OK {
+	if !granted(m, 20, 5, true) {
 		t.Fatal("first write must pass")
 	}
-	if out := m.Read(1, 10, 5); out != Reject {
+	if granted(m, 10, 5, false) {
 		t.Fatal("read with ts 10 after write ts 20 must be rejected")
 	}
-	if out := m.Read(3, 30, 5); out != OK {
+	if !granted(m, 30, 5, false) {
 		t.Fatal("read with ts 30 must pass")
-	}
-	s := m.Stats()
-	if s.Reads != 2 || s.ReadRejects != 1 || s.Writes != 1 {
-		t.Fatalf("stats = %+v", s)
 	}
 }
 
 func TestWriteAfterLaterReadRejected(t *testing.T) {
 	m := NewManager()
-	if out := m.Read(2, 20, 5); out != OK {
+	if !granted(m, 20, 5, false) {
 		t.Fatal("read must pass")
 	}
-	if out, _ := m.Write(1, 10, 5); out != Reject {
+	if granted(m, 10, 5, true) {
 		t.Fatal("write ts 10 after read ts 20 must be rejected")
 	}
-	if out, _ := m.Write(3, 30, 5); out != OK {
+	if !granted(m, 30, 5, true) {
 		t.Fatal("write ts 30 must pass")
 	}
 }
 
 func TestWriteAfterLaterWriteRejectedWithoutThomas(t *testing.T) {
 	m := NewManager()
-	m.Write(2, 20, 5)
-	if out, _ := m.Write(1, 10, 5); out != Reject {
+	granted(m, 20, 5, true)
+	if granted(m, 10, 5, true) {
 		t.Fatal("basic TO rejects obsolete writes")
 	}
 }
 
-func TestThomasWriteRuleSkips(t *testing.T) {
-	m := NewManager()
-	m.ThomasWriteRule = true
-	m.Write(2, 20, 5)
-	out, skip := m.Write(1, 10, 5)
-	if out != OK || !skip {
-		t.Fatalf("Thomas rule: out=%v skip=%v, want OK/skip", out, skip)
-	}
-	// But a conflicting later read still rejects.
-	m2 := NewManager()
-	m2.ThomasWriteRule = true
-	m2.Read(3, 30, 5)
-	if out, _ := m2.Write(1, 10, 5); out != Reject {
-		t.Fatal("Thomas rule must not bypass read conflicts")
-	}
-}
-
 func TestTimestampsPersistAcrossFinish(t *testing.T) {
-	m := NewManager()
-	m.Write(2, 20, 5)
-	m.Finish(2)
+	var p cc.Protocol = NewManager()
+	p.Access(20, 5, true)
+	p.Finish(20)
 	// A restarted old transaction still sees the granule timestamps.
-	if out, _ := m.Write(1, 10, 5); out != Reject {
+	if d := p.Access(10, 5, true); d.Outcome != cc.Restart {
 		t.Fatal("granule timestamps must survive Finish")
-	}
-}
-
-func TestFinishReturnsTouchedGranules(t *testing.T) {
-	m := NewManager()
-	m.Read(1, 10, 7)
-	m.Write(1, 10, 3)
-	m.Read(1, 10, 3)
-	got := m.Finish(1)
-	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
-		t.Fatalf("touched = %v, want [3 7]", got)
-	}
-	if m.Live() != 0 {
-		t.Fatal("bookkeeping not cleared")
-	}
-	if got := m.Finish(1); len(got) != 0 {
-		t.Fatal("double Finish must be empty")
 	}
 }
 
@@ -101,23 +70,16 @@ func TestPropertySerializability(t *testing.T) {
 		type op struct {
 			ts    int64
 			write bool
-			g     GranuleID
+			g     cc.GranuleID
 		}
 		var admitted []op
 		for i := 0; i < 300; i++ {
 			o := op{
 				ts:    int64(1 + r.Intn(100)),
 				write: r.Bool(0.4),
-				g:     GranuleID(r.Intn(8)),
+				g:     cc.GranuleID(r.Intn(8)),
 			}
-			var ok bool
-			if o.write {
-				out, _ := m.Write(TxnID(o.ts), o.ts, o.g)
-				ok = out == OK
-			} else {
-				ok = m.Read(TxnID(o.ts), o.ts, o.g) == OK
-			}
-			if ok {
+			if granted(m, o.ts, o.g, o.write) {
 				// Conflict check against everything already admitted on
 				// this granule with a LARGER timestamp.
 				for _, prev := range admitted {
@@ -135,11 +97,5 @@ func TestPropertySerializability(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOutcomeString(t *testing.T) {
-	if OK.String() != "ok" || Reject.String() != "reject" {
-		t.Fatal("outcome names wrong")
 	}
 }

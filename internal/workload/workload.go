@@ -8,6 +8,7 @@ package workload
 import (
 	"fmt"
 
+	"carat/internal/cc"
 	"carat/internal/comm"
 	"carat/internal/core"
 	"carat/internal/disk"
@@ -69,10 +70,10 @@ type Workload struct {
 	// iteration (the two-level structure the paper describes).
 	EthernetAlpha bool
 
-	// Concurrency selects the simulator's concurrency control protocol.
-	// The analytical model covers only CC2PL (the paper's scheme); Model
-	// returns an error for anything else.
-	Concurrency testbed.CCProtocol
+	// Concurrency selects the simulator's concurrency control paradigm.
+	// The analytical model covers only cc.TwoPhaseDetect (the paper's
+	// scheme); Model returns an error for anything else.
+	Concurrency cc.Paradigm
 
 	// DeadlockAdjust calibrates the model's two-cycle deadlock
 	// approximation (Section 5.4.3 allows a measured adjusting factor).
@@ -258,11 +259,7 @@ func (w Workload) TestbedConfig(seed uint64, warmup, duration float64) testbed.C
 			// reproducibility.
 			db = detailedModelFor(w.DBDisks[i])
 		}
-		dm := w.DMServers
-		if dm <= 0 {
-			dm = 16
-		}
-		nodes[i] = testbed.NodeConfig{DBDisk: db, DMServers: dm, DBDiskStripes: w.DiskStripes, CPUs: w.CPUs}
+		nodes[i] = testbed.NodeConfig{DBDisk: db, DMServers: w.DMServers, DBDiskStripes: w.DiskStripes, CPUs: w.CPUs}
 		if w.LogDisks != nil && w.LogDisks[i] != nil {
 			nodes[i].LogDisk = w.LogDisks[i]
 		}
@@ -282,36 +279,14 @@ func (w Workload) TestbedConfig(seed uint64, warmup, duration float64) testbed.C
 		}
 		network = eth
 	}
-	var faults *testbed.FaultPlan
-	if w.Faults != nil {
-		// Each run gets its own copy: validation fills defaults in place,
-		// and parallel replications must not share a mutable plan.
-		fp := *w.Faults
-		faults = &fp
-	}
-	var pl *testbed.PlacementConfig
-	if w.Placement != nil {
-		// Copied like Faults: validation fills the anchor-pattern default
-		// in place, and parallel sweep cells must not share it.
-		pc := *w.Placement
-		pl = &pc
-	}
-	var open *testbed.OpenConfig
-	if w.Open != nil {
-		// Deep-copied for the same reason as Faults: validation fills the
-		// default class mix in place.
-		oc := *w.Open
-		oc.PerSiteRatePerSec = append([]float64(nil), w.Open.PerSiteRatePerSec...)
-		oc.Ramp = append([]testbed.OpenRampPoint(nil), w.Open.Ramp...)
-		oc.Classes = append([]testbed.OpenClass(nil), w.Open.Classes...)
-		open = &oc
-	}
+	// Faults, Open and Placement are shared, not copied: Config.Validate
+	// fills their defaults on private copies.
 	return testbed.Config{
 		Nodes:             nodes,
 		Users:             w.Users,
-		Faults:            faults,
-		Open:              open,
-		Placement:         pl,
+		Faults:            w.Faults,
+		Open:              w.Open,
+		Placement:         w.Placement,
 		Resilience:        w.Resilience,
 		Replication:       w.Replication,
 		Params:            w.Params,
@@ -373,7 +348,7 @@ func coreType(k testbed.TxnKind) core.Type {
 // Model builds the analytical model input for this workload, using exactly
 // the parameters the simulator uses.
 func (w Workload) Model() (*core.Model, error) {
-	if w.Concurrency != testbed.CC2PL {
+	if w.Concurrency != cc.TwoPhaseDetect {
 		return nil, fmt.Errorf("workload: the analytical model covers only 2PL with deadlock detection, not %v", w.Concurrency)
 	}
 	m := &core.Model{
