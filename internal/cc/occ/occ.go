@@ -15,14 +15,6 @@ import (
 	"carat/internal/cc"
 )
 
-// Stats counts validator activity.
-type Stats struct {
-	Begins    int64
-	Accesses  int64
-	Validated int64
-	Conflicts int64
-}
-
 // liveTxn is an executing transaction's tracking state.
 type liveTxn struct {
 	start  int64 // commit sequence number at Begin
@@ -38,10 +30,9 @@ type committedTxn struct {
 
 // Manager is one site's OCC validator.
 type Manager struct {
-	seq   int64
-	live  map[cc.TxnID]*liveTxn
-	hist  []committedTxn // ascending seq
-	stats Stats
+	seq  int64
+	live map[cc.TxnID]*liveTxn
+	hist []committedTxn // ascending seq
 	// freeSets recycles read/write sets across transactions so the
 	// steady-state access path stays allocation-light.
 	freeSets []map[cc.GranuleID]bool
@@ -51,9 +42,6 @@ type Manager struct {
 func NewManager() *Manager {
 	return &Manager{live: make(map[cc.TxnID]*liveTxn)}
 }
-
-// Stats returns the activity counters.
-func (m *Manager) Stats() Stats { return m.stats }
 
 // Live returns the number of transactions with tracking state.
 func (m *Manager) Live() int { return len(m.live) }
@@ -80,7 +68,6 @@ func (m *Manager) Begin(txn cc.TxnID, _ int64) {
 	if m.live[txn] != nil {
 		return
 	}
-	m.stats.Begins++
 	m.live[txn] = &liveTxn{start: m.seq, reads: m.getSet(), writes: m.getSet()}
 }
 
@@ -99,7 +86,6 @@ func (m *Manager) track(txn cc.TxnID) *liveTxn {
 // Access records one granule access and always grants: OCC never blocks
 // during the read phase. An update access reads and writes the granule.
 func (m *Manager) Access(txn cc.TxnID, g cc.GranuleID, write bool) cc.Decision {
-	m.stats.Accesses++
 	t := m.track(txn)
 	t.reads[g] = true
 	if write {
@@ -131,12 +117,10 @@ func (m *Manager) Validate(txn cc.TxnID) bool {
 		}
 		for _, g := range e.writes {
 			if t.reads[g] || t.writes[g] {
-				m.stats.Conflicts++
 				return false
 			}
 		}
 	}
-	m.stats.Validated++
 	if len(t.writes) > 0 {
 		ws := make([]cc.GranuleID, 0, len(t.writes))
 		for g := range t.writes {

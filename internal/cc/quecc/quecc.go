@@ -23,15 +23,6 @@ package quecc
 
 import "carat/internal/cc"
 
-// Stats counts scheduler activity.
-type Stats struct {
-	Planned  int64 // claims registered by planners
-	Late     int64 // claims inserted at access time (unplanned granules)
-	Admitted int64
-	Blocked  int64
-	Woken    int64
-}
-
 // claim is one transaction's declared intent on a granule.
 type claim struct {
 	txn     cc.TxnID
@@ -48,8 +39,7 @@ type Scheduler struct {
 	queues map[cc.GranuleID][]claim
 	// txns records each live transaction's claimed granules in claim
 	// order, so Finish releases deterministically without map iteration.
-	txns  map[cc.TxnID][]cc.GranuleID
-	stats Stats
+	txns map[cc.TxnID][]cc.GranuleID
 }
 
 // NewScheduler creates an empty scheduler. onGrant is called when a
@@ -61,9 +51,6 @@ func NewScheduler(onGrant func(cc.TxnID)) *Scheduler {
 		txns:    make(map[cc.TxnID][]cc.GranuleID),
 	}
 }
-
-// Stats returns the activity counters.
-func (s *Scheduler) Stats() Stats { return s.stats }
 
 // Live returns the number of transactions holding claims.
 func (s *Scheduler) Live() int { return len(s.txns) }
@@ -78,7 +65,6 @@ func (s *Scheduler) Plan(txn cc.TxnID, g cc.GranuleID, write bool) {
 			return
 		}
 	}
-	s.stats.Planned++
 	// Insert in priority order; ids are monotone so this is normally an
 	// append, and a late claim walks back a few slots at most.
 	pos := len(q)
@@ -119,7 +105,6 @@ func (s *Scheduler) Access(txn cc.TxnID, g cc.GranuleID, write bool) cc.Decision
 		}
 	}
 	if i < 0 {
-		s.stats.Late++
 		s.Plan(txn, g, write)
 		q = s.queues[g]
 		for j := range q {
@@ -132,10 +117,8 @@ func (s *Scheduler) Access(txn cc.TxnID, g cc.GranuleID, write bool) cc.Decision
 		q[i].write = true
 	}
 	if admissible(q, i) {
-		s.stats.Admitted++
 		return cc.Decision{Outcome: cc.Grant}
 	}
-	s.stats.Blocked++
 	q[i].waiting = true
 	return cc.Decision{Outcome: cc.Block}
 }
@@ -169,7 +152,6 @@ func (s *Scheduler) Finish(txn cc.TxnID) {
 		for i := range q {
 			if q[i].waiting && admissible(q, i) {
 				q[i].waiting = false
-				s.stats.Woken++
 				s.onGrant(q[i].txn)
 			}
 		}

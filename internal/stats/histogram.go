@@ -51,10 +51,15 @@ func (h *Histogram) Add(x float64) {
 		return
 	}
 	i := h.bucketOf(x)
-	for i >= len(h.counts) {
-		h.counts = append(h.counts, 0)
-	}
+	h.extend(i + 1)
 	h.counts[i]++
+}
+
+// extend grows counts to at least n zeroed buckets in one step.
+func (h *Histogram) extend(n int) {
+	if k := n - len(h.counts); k > 0 {
+		h.counts = append(h.counts, make([]int64, k)...)
+	}
 }
 
 // N returns the observation count.
@@ -109,9 +114,7 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o.base != h.base || o.ratio != h.ratio {
 		panic("stats: merging histograms with different bucket geometry")
 	}
-	for len(h.counts) < len(o.counts) {
-		h.counts = append(h.counts, 0)
-	}
+	h.extend(len(o.counts))
 	for i, c := range o.counts {
 		h.counts[i] += c
 	}

@@ -40,7 +40,7 @@ func TestWriteAfterLaterReadRejected(t *testing.T) {
 	}
 }
 
-func TestWriteAfterLaterWriteRejectedWithoutThomas(t *testing.T) {
+func TestWriteAfterLaterWriteRejected(t *testing.T) {
 	m := NewManager()
 	granted(m, 20, 5, true)
 	if granted(m, 10, 5, true) {
