@@ -106,7 +106,7 @@ func (a *Auditor) Audit(sys *System) []string {
 		flushed := nd.journal.FlushedLSN()
 		durablePrepared := make(map[int64]bool)
 		durableUndo := make(map[int64]bool)
-		for _, r := range nd.journal.Records() {
+		for r := range nd.journal.All() {
 			durable := r.LSN <= flushed
 			switch r.Kind {
 			case wal.Commit:

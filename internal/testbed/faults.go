@@ -10,7 +10,6 @@ import (
 	"carat/internal/health"
 	"carat/internal/rng"
 	"carat/internal/sim"
-	"carat/internal/wal"
 )
 
 // Fault causes delivered to transactions doomed by the fault injector.
@@ -479,7 +478,7 @@ func (s *System) restartSite(id NodeID) {
 	nd := s.nodes[id]
 	s.env.Spawn(fmt.Sprintf("recover-%d", id), func(p *sim.Proc) {
 		costs := nd.costsFor(LU)
-		undo := durableLoserBlocks(nd.journal)
+		undo := nd.journal.LoserBlocks()
 		losers, inDoubt := nd.journal.Recover(nd.store)
 		_ = losers
 		for _, g := range undo {
@@ -540,36 +539,6 @@ func (s *System) markUp(nd *node) {
 		nd.upEv.Trigger(nil)
 		nd.upEv = nil
 	}
-}
-
-// durableLoserBlocks returns the blocks restart recovery will undo, in undo
-// order: the durable before-images of every transaction with neither a
-// durable resolution nor a durable prepared record. It mirrors wal.Recover's
-// loser selection so the restart process can charge the undo I/O.
-func durableLoserBlocks(l *wal.Log) []int {
-	flushed := l.FlushedLSN()
-	recs := l.Records()
-	resolved := make(map[int64]bool)
-	prepared := make(map[int64]bool)
-	for _, r := range recs {
-		if r.LSN > flushed {
-			continue
-		}
-		switch r.Kind {
-		case wal.Commit, wal.Abort:
-			resolved[r.Txn] = true
-		case wal.Prepared:
-			prepared[r.Txn] = true
-		}
-	}
-	var blocks []int
-	for i := len(recs) - 1; i >= 0; i-- {
-		r := recs[i]
-		if r.Kind == wal.BeforeImage && r.LSN <= flushed && !resolved[r.Txn] && !prepared[r.Txn] {
-			blocks = append(blocks, r.Block)
-		}
-	}
-	return blocks
 }
 
 // hasParticipant reports whether the site participates in the transaction.

@@ -188,7 +188,7 @@ func TestPrepareWindowCrashResolvesInDoubt(t *testing.T) {
 		}
 		prepared := map[int64]bool{}
 		resolved := map[int64]bool{}
-		for _, r := range nd.journal.Records() {
+		for r := range nd.journal.All() {
 			switch r.Kind {
 			case wal.Prepared:
 				prepared[r.Txn] = true

@@ -244,7 +244,7 @@ func (s *System) terminateQueued(p *sim.Proc, nd *node, entries []termEntry) {
 // abort record) exists.
 func siteBranchState(nd *node, gid int64) (prepared, resolved bool) {
 	flushed := nd.journal.FlushedLSN()
-	for _, r := range nd.journal.Records() {
+	for r := range nd.journal.All() {
 		if r.Txn != gid {
 			continue
 		}

@@ -56,8 +56,9 @@ func (s *System) CrashRecover() RecoveryReport {
 // coordinator's identity is implicit: only it writes the commit record.)
 func (s *System) coordinatorCommitted(gid int64) bool {
 	for _, n := range s.nodes {
-		for _, r := range n.journal.Records() {
-			if r.Txn == gid && r.Kind == wal.Commit && r.LSN <= n.journal.FlushedLSN() {
+		flushed := n.journal.FlushedLSN()
+		for r := range n.journal.All() {
+			if r.Txn == gid && r.Kind == wal.Commit && r.LSN <= flushed {
 				return true
 			}
 		}

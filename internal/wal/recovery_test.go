@@ -111,3 +111,28 @@ func TestMixedRecoveryScenario(t *testing.T) {
 		t.Fatal("in-doubt abort resolution failed")
 	}
 }
+
+// TestUnforcedCommitLeavesPreparedBranchInDoubt: a participant's commit
+// record that never reached stable storage does not resolve its branch, so
+// recovery finds it in doubt with its undo list rebuilt, and an abort
+// resolution still rolls it back.
+func TestUnforcedCommitLeavesPreparedBranchInDoubt(t *testing.T) {
+	s := newStore()
+	l := NewLog()
+	s.WriteBlock(2, 7)
+	l.LogBeforeImage(10, s, 2)
+	s.WriteBlock(2, 200)
+	l.Prepare(10)
+	l.Commit(10) // lost in the crash
+	_, inDoubt := l.Recover(s)
+	if len(inDoubt) != 1 || inDoubt[0] != 10 {
+		t.Fatalf("inDoubt = %v, want [10]", inDoubt)
+	}
+	if n := l.BeforeImageCount(10); n != 1 {
+		t.Fatalf("BeforeImageCount after recovery = %d, want 1", n)
+	}
+	l.ResolveInDoubt(10, false, s)
+	if s.ReadBlock(2) != 7 {
+		t.Fatalf("aborted in-doubt update not undone: %d", s.ReadBlock(2))
+	}
+}

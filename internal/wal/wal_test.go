@@ -233,3 +233,26 @@ func TestPropertyRollbackAlwaysRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLongLogReadsBack appends past the ramp and dozens of full-size
+// segments, and reads every record back both by position and in order.
+func TestLongLogReadsBack(t *testing.T) {
+	l := NewLog()
+	const n = 300_000
+	for i := range n {
+		l.LogReplicaApply(int64(i), i)
+	}
+	i := 0
+	for r := range l.All() {
+		if r.LSN != int64(i)+1 || r.Txn != int64(i) || r.Block != i {
+			t.Fatalf("record %d = %+v", i, r)
+		}
+		if e := l.at(i); e.txn != int64(i) {
+			t.Fatalf("at(%d) holds txn %d", i, e.txn)
+		}
+		i++
+	}
+	if i != n || l.FlushedLSN() != n {
+		t.Fatalf("read %d records, flushed LSN %d; want %d", i, l.FlushedLSN(), n)
+	}
+}
